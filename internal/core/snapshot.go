@@ -299,13 +299,13 @@ func (e *Engine[K]) LoadSnapshot(es *EngineSnapshot[K]) error {
 }
 
 // SnapshotMerger folds engine snapshots over disjoint sub-streams into one
-// snapshot over their union, retaining all scratch (one spacesaving.Merger
-// per node) across calls so a steady-state merge allocates nothing. The
-// merged snapshot preserves the Definition 4 bounds per node (see
-// spacesaving.Merger), so Theorem 6.17 applies to the union stream with
-// N = ΣNᵢ.
+// snapshot over their union, retaining all scratch (one spacesaving.Merger,
+// reused node after node) across calls so a steady-state merge allocates
+// nothing. The merged snapshot preserves the Definition 4 bounds per node
+// (see spacesaving.Merger), so Theorem 6.17 applies to the union stream
+// with N = ΣNᵢ.
 type SnapshotMerger[K comparable] struct {
-	mergers []spacesaving.Merger[K]
+	m spacesaving.Merger[K]
 
 	// Unchanged-input skip: the previous call's destination identity and
 	// input generations. A repeat merge of unchanged inputs into the same
@@ -359,10 +359,6 @@ func (sm *SnapshotMerger[K]) Merge(dst *EngineSnapshot[K], snaps ...*EngineSnaps
 		dst.Nodes = nodes
 	}
 	dst.Nodes = dst.Nodes[:h]
-	if cap(sm.mergers) < h {
-		sm.mergers = make([]spacesaving.Merger[K], h)
-	}
-	sm.mergers = sm.mergers[:h]
 	// Per-node skip: when this merge repeats the previous call's shape (same
 	// destination, untouched since, same input count), a node whose input
 	// generations all match the previous call still holds the right merged
@@ -385,14 +381,13 @@ func (sm *SnapshotMerger[K]) Merge(dst *EngineSnapshot[K], snaps ...*EngineSnaps
 		if partial && sm.nodeUnchanged(node, h, snaps, dst) {
 			continue
 		}
-		m := &sm.mergers[node]
-		m.Reset()
+		sm.m.Reset()
 		capacity := 1
 		for _, s := range snaps {
-			m.Add(&s.Nodes[node])
+			sm.m.Add(&s.Nodes[node])
 			capacity = max(capacity, s.Nodes[node].Cap)
 		}
-		m.MergeInto(&dst.Nodes[node], capacity)
+		sm.m.MergeInto(&dst.Nodes[node], capacity)
 	}
 	for i, s := range snaps {
 		for node := 0; node < h; node++ {

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -143,9 +143,8 @@ func (s *Summary[K]) LoadSnapshot(sn *Snapshot[K]) {
 
 // Merger accumulates snapshots over disjoint sub-streams into merged
 // frequency bounds, in the style of mergeable summaries (Agarwal et al.,
-// PODS 2012). It replaces the per-query map+sort rebuild the old Merge
-// performed: all scratch (union arrays, key index, sort permutation) is
-// retained across queries, so a steady-state merge allocates nothing.
+// PODS 2012). All scratch (union arrays, key index, sort buffers) is
+// retained across merges, so a steady-state merge allocates nothing.
 //
 // For every key the merged upper bound is the sum of the per-snapshot upper
 // bounds (using a snapshot's Min when it does not monitor the key) and the
@@ -153,63 +152,88 @@ func (s *Summary[K]) LoadSnapshot(sn *Snapshot[K]) {
 //
 //	Σfᵢ(k) ≤ upper(k),   lower(k) ≤ Σfᵢ(k),   upper(k)−lower(k) ≤ Σ εᵢNᵢ.
 //
+// The union is indexed by a flat open-addressing table hashed like Summary's
+// index, and MergeInto orders it with a stable LSD radix sort on the merged
+// upper bound, so a merge costs O(union) with no comparator calls.
+//
 // Usage: Reset, Add each snapshot, then MergeInto a destination snapshot.
 type Merger[K comparable] struct {
-	keys    []K
-	upper   []uint64
-	lower   []uint64
-	touched []int32 // round stamp of the last snapshot containing the key
-	idx     map[K]int32
-	perm    []int32
-	minSum  uint64 // Σ Min over added snapshots
-	n       uint64 // Σ N over added snapshots
-	round   int32
+	keys []K
+	// excess[j] is Σ (Upperᵢ − Minᵢ) over the added snapshots that monitor
+	// keys[j], so the merged upper bound is excess[j] + minSum: the Min of
+	// every snapshot that does not monitor the key is included without
+	// touching the key. The sum wraps when a snapshot's Upper is below its
+	// own Min (CHK's estimates can be); it is exact modulo 2⁶⁴ all the same,
+	// so the bound equals the direct per-key sum bit for bit.
+	excess []uint64
+	lower  []uint64
+	slots  []int32 // linear-probing index: 1 + position in keys, 0 = empty
+	hash   func(K) uint32
+	perm   []int32 // radix sort buffers, swapped each pass
+	tmp    []int32
+	minSum uint64 // Σ Min over added snapshots
+	n      uint64 // Σ N over added snapshots
 }
 
 // Reset clears the accumulator for a new merge, keeping scratch storage.
 func (m *Merger[K]) Reset() {
-	m.keys = m.keys[:0]
-	m.upper = m.upper[:0]
-	m.lower = m.lower[:0]
-	m.touched = m.touched[:0]
-	if m.idx == nil {
-		m.idx = make(map[K]int32)
-	} else {
-		clear(m.idx)
+	if len(m.keys) != 0 {
+		clear(m.slots)
 	}
-	m.minSum, m.n, m.round = 0, 0, 0
+	m.keys = m.keys[:0]
+	m.excess = m.excess[:0]
+	m.lower = m.lower[:0]
+	m.minSum, m.n = 0, 0
 }
 
-// Add folds one snapshot into the accumulator. Keys new to the union start
-// from the sum of the previous snapshots' Min bounds; accumulated keys the
-// snapshot does not monitor gain its Min on their upper bound.
+// Add folds one snapshot into the accumulator.
 func (m *Merger[K]) Add(sn *Snapshot[K]) {
-	if m.idx == nil {
-		m.idx = make(map[K]int32)
+	if need := 2 * (len(m.keys) + len(sn.Keys)); need > len(m.slots) {
+		m.grow(need)
 	}
-	m.n += sn.N
-	round := m.round
-	m.round++
+	mask := uint32(len(m.slots) - 1)
 	for i, k := range sn.Keys {
-		j, ok := m.idx[k]
-		if !ok {
-			j = int32(len(m.keys))
-			m.idx[k] = j
-			m.keys = append(m.keys, k)
-			m.upper = append(m.upper, m.minSum)
-			m.lower = append(m.lower, 0)
-			m.touched = append(m.touched, round)
-		}
-		m.upper[j] += sn.Upper[i]
-		m.lower[j] += sn.Lower[i]
-		m.touched[j] = round
-	}
-	for j := range m.keys {
-		if m.touched[j] != round {
-			m.upper[j] += sn.Min
+		for p := m.hash(k) & mask; ; p = (p + 1) & mask {
+			s := m.slots[p]
+			if s == 0 {
+				m.slots[p] = int32(len(m.keys)) + 1
+				m.keys = append(m.keys, k)
+				m.excess = append(m.excess, sn.Upper[i]-sn.Min)
+				m.lower = append(m.lower, sn.Lower[i])
+				break
+			}
+			if m.keys[s-1] == k {
+				m.excess[s-1] += sn.Upper[i] - sn.Min
+				m.lower[s-1] += sn.Lower[i]
+				break
+			}
 		}
 	}
 	m.minSum += sn.Min
+	m.n += sn.N
+}
+
+// grow resizes the index to the smallest power of two holding need slots
+// (at most half of them full once the pending Add lands) and reinserts the
+// accumulated keys. It runs only while the merger warms up to its largest
+// union; later merges reuse the table.
+func (m *Merger[K]) grow(need int) {
+	if m.hash == nil {
+		m.hash = hashFuncFor[K]()
+	}
+	size := 16
+	for size < need {
+		size <<= 1
+	}
+	m.slots = make([]int32, size)
+	mask := uint32(size - 1)
+	for j, k := range m.keys {
+		p := m.hash(k) & mask
+		for m.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		m.slots[p] = int32(j) + 1
+	}
 }
 
 // N returns the total stream weight accumulated so far.
@@ -228,31 +252,15 @@ func (m *Merger[K]) MergeInto(dst *Snapshot[K], capacity int) *Snapshot[K] {
 		dst = &Snapshot[K]{}
 	}
 	dst.reset()
-	if cap(m.perm) < len(m.keys) {
-		m.perm = make([]int32, len(m.keys))
-	}
-	perm := m.perm[:len(m.keys)]
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if m.upper[a] != m.upper[b] {
-			if m.upper[a] > m.upper[b] {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	kept := perm
+	kept := m.sortByUpper()
 	dropMax := uint64(0)
 	if len(kept) > capacity {
-		dropMax = m.upper[kept[capacity]]
+		dropMax = m.excess[kept[capacity]] + m.minSum
 		kept = kept[:capacity]
 	}
 	for _, j := range kept {
 		dst.Keys = append(dst.Keys, m.keys[j])
-		dst.Upper = append(dst.Upper, m.upper[j])
+		dst.Upper = append(dst.Upper, m.excess[j]+m.minSum)
 		dst.Lower = append(dst.Lower, m.lower[j])
 	}
 	dst.N = m.n
@@ -260,6 +268,46 @@ func (m *Merger[K]) MergeInto(dst *Snapshot[K], capacity int) *Snapshot[K] {
 	dst.Cap = capacity
 	dst.gen = snapGenCounter.Add(1)
 	return dst
+}
+
+// sortByUpper returns the union positions in descending merged-upper-bound
+// order, ties in accumulation order. It is a stable LSD radix sort, 8 bits a
+// pass, on each bound's distance below the largest one, so it runs only the
+// passes the spread of the bounds needs.
+func (m *Merger[K]) sortByUpper() []int32 {
+	n := len(m.keys)
+	if cap(m.perm) < n {
+		m.perm = make([]int32, n)
+		m.tmp = make([]int32, n)
+	}
+	perm, tmp := m.perm[:n], m.tmp[:n]
+	if n == 0 {
+		return perm
+	}
+	hi, lo := uint64(0), ^uint64(0)
+	for j := range perm {
+		perm[j] = int32(j)
+		u := m.excess[j] + m.minSum
+		hi, lo = max(hi, u), min(lo, u)
+	}
+	for shift := 0; shift < bits.Len64(hi-lo); shift += 8 {
+		var count [256]int32
+		for _, j := range perm {
+			count[byte((hi-m.excess[j]-m.minSum)>>shift)]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, j := range perm {
+			d := byte((hi - m.excess[j] - m.minSum) >> shift)
+			tmp[count[d]] = j
+			count[d]++
+		}
+		perm, tmp = tmp, perm
+	}
+	return perm
 }
 
 // Snapshot binary encoding, version 1. The format is deterministic: a

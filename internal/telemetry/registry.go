@@ -218,23 +218,25 @@ func (r *Registry) render() {
 				r.app.r, r.app.fam = r, f
 				s.collect(&r.app)
 			case s.hist != nil:
+				var v histView
+				s.hist.load(&v)
 				cum := uint64(0)
-				for b := 0; b < HistBuckets; b++ {
-					cum += s.hist.publishedBucket(b)
+				for b, c := range v.cnt {
+					cum += c
 					r.buf = appendBucketLine(r.buf, f.name, s.labels, bucketLE[b], cum)
 				}
-				r.buf = appendBucketLine(r.buf, f.name, s.labels, "+Inf", s.hist.Count())
+				r.buf = appendBucketLine(r.buf, f.name, s.labels, "+Inf", v.count)
 				r.buf = append(r.buf, f.name...)
 				r.buf = append(r.buf, "_sum"...)
 				r.buf = append(r.buf, s.labels...)
 				r.buf = append(r.buf, ' ')
-				r.buf = strconv.AppendFloat(r.buf, s.hist.SumSeconds(), 'g', -1, 64)
+				r.buf = strconv.AppendFloat(r.buf, float64(v.sum)/1e9, 'g', -1, 64)
 				r.buf = append(r.buf, '\n')
 				r.buf = append(r.buf, f.name...)
 				r.buf = append(r.buf, "_count"...)
 				r.buf = append(r.buf, s.labels...)
 				r.buf = append(r.buf, ' ')
-				r.buf = strconv.AppendUint(r.buf, s.hist.Count(), 10)
+				r.buf = strconv.AppendUint(r.buf, v.count, 10)
 				r.buf = append(r.buf, '\n')
 			case s.isFloat:
 				r.buf = append(r.buf, f.name...)

@@ -15,6 +15,7 @@ package telemetry
 
 import (
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -101,12 +102,22 @@ type Histogram struct {
 	count uint64
 	sumNs uint64
 	cnt   [HistBuckets]uint64
-	inf   uint64
 
+	// The published cells form one block under a seqlock: Publish makes
+	// seq odd, stores the cells, then makes it even again, and load retries
+	// until it copied every cell between two equal even reads of seq. A
+	// scrape therefore never mixes two publications, so the rendered
+	// buckets stay monotone and +Inf equals _count.
+	seq      Cell
 	pubCnt   [HistBuckets]Cell
-	pubInf   Cell
 	pubCount Cell
 	pubSum   Cell
+}
+
+// histView is one publication of a Histogram, copied out by load.
+type histView struct {
+	cnt        [HistBuckets]uint64
+	count, sum uint64
 }
 
 // Observe records one duration. Owner only.
@@ -121,14 +132,13 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records time elapsed since t0. Owner only.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// drain buckets every pending ring sample.
+// drain buckets every pending ring sample; samples beyond the last finite
+// bucket count only toward count (the +Inf bucket).
 func (h *Histogram) drain() {
 	for ; h.rpos != h.wpos; h.rpos++ {
 		ns := h.ring[h.rpos&histRingMask]
 		if b := bucketOf(ns); b < HistBuckets {
 			h.cnt[b]++
-		} else {
-			h.inf++
 		}
 		h.sumNs += ns
 		h.count++
@@ -139,12 +149,33 @@ func (h *Histogram) drain() {
 // publication cells. Owner only.
 func (h *Histogram) Publish() {
 	h.drain()
+	seq := h.seq.Load()
+	h.seq.Store(seq + 1)
 	for i := range h.cnt {
 		h.pubCnt[i].Store(h.cnt[i])
 	}
-	h.pubInf.Store(h.inf)
 	h.pubSum.Store(h.sumNs)
 	h.pubCount.Store(h.count)
+	h.seq.Store(seq + 2)
+}
+
+// load copies the last complete publication into v. Safe from any
+// goroutine; it yields while the owner is mid-publish.
+func (h *Histogram) load(v *histView) {
+	for {
+		seq := h.seq.Load()
+		if seq&1 == 0 {
+			for i := range v.cnt {
+				v.cnt[i] = h.pubCnt[i].Load()
+			}
+			v.sum = h.pubSum.Load()
+			v.count = h.pubCount.Load()
+			if h.seq.Load() == seq {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // Count returns the published sample count. Safe from any goroutine.
@@ -153,6 +184,3 @@ func (h *Histogram) Count() uint64 { return h.pubCount.Load() }
 // SumSeconds returns the published sum of all samples in seconds. Safe
 // from any goroutine.
 func (h *Histogram) SumSeconds() float64 { return float64(h.pubSum.Load()) / 1e9 }
-
-// publishedBucket returns the published count of finite bucket i.
-func (h *Histogram) publishedBucket(i int) uint64 { return h.pubCnt[i].Load() }

@@ -66,8 +66,10 @@ func TestHistogramRingDrain(t *testing.T) {
 	if got := h.Count(); got != uint64(n+1) {
 		t.Fatalf("count = %d, want %d", got, n+1)
 	}
-	if got := h.publishedBucket(0); got != uint64(n) {
-		t.Fatalf("bucket 0 = %d, want %d", got, n)
+	var v histView
+	h.load(&v)
+	if v.cnt[0] != uint64(n) || v.count != uint64(n+1) {
+		t.Fatalf("published bucket 0 = %d, count = %d, want %d, %d", v.cnt[0], v.count, n, n+1)
 	}
 	wantSum := float64(n)*1e-6 + 3600
 	if got := h.SumSeconds(); got < wantSum*0.999 || got > wantSum*1.001 {

@@ -432,9 +432,6 @@ func (s *Sharded) MaxPublishAge(now time.Time) time.Duration {
 // Workers returns the number of workers.
 func (s *Sharded) Workers() int { return len(s.workers) }
 
-// Shards returns the number of workers (historical name).
-func (s *Sharded) Shards() int { return len(s.workers) }
-
 // Worker returns worker i's handle; each producing goroutine must own its
 // worker exclusively.
 func (s *Sharded) Worker(i int) *Worker { return s.workers[i] }
@@ -657,20 +654,22 @@ func (a *aggState[K]) query(workers []*Worker, theta float64) []HeavyHitter {
 	return res
 }
 
-// freshSnapshot merges the latest published set into a newly allocated
-// snapshot state (it escapes to the caller, so no buffers are shared with the
-// aggregator or the publication rings).
+// freshSnapshot merges the latest published set through the query path's
+// warm merger and destination, then deep-copies the result into a new
+// snapshot state: it escapes to the caller, so it shares no buffers with the
+// aggregator or the publication rings.
 func (a *aggState[K]) freshSnapshot(workers []*Worker) snapCore {
 	var retries int
 	a.pinned, a.ptrs, retries = pinPubs(workers, a.pinned, a.ptrs)
-	var sm core.SnapshotMerger[K]
-	es := sm.Merge(nil, a.ptrs...)
+	merged := a.sm.Merge(&a.merged, a.ptrs...)
 	unpinPubs(a.pinned)
 	if a.qtm != nil {
 		a.qtm.Queries.Add(1)
 		a.qtm.PinRetries.Add(uint64(retries))
 	}
-	return &snapState[K]{es: *es, dom: a.im.dom, split: a.im.split}
+	st := &snapState[K]{dom: a.im.dom, split: a.im.split}
+	st.es.CopyFrom(merged)
+	return st
 }
 
 // appendCheckpoint captures the merged published state into the private

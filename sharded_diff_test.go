@@ -1,6 +1,7 @@
 package rhhh
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"net/netip"
 	"slices"
@@ -184,6 +185,61 @@ func TestShardedDifferentialInterleaved(t *testing.T) {
 		t.Fatalf("final N: lock-free %d vs reference %d", got, ref.N())
 	}
 	_ = total
+}
+
+// TestShardedSnapshotWarmMerge: Sharded.Snapshot merges through the query
+// path's warm merger and destination and hands out a deep copy. Its bytes
+// equal a cold sequential merge of the workers' own snapshots, a query
+// right after it answers exactly as the query before it, and later traffic
+// and queries leave an earlier snapshot's bytes untouched.
+func TestShardedSnapshotWarmMerge(t *testing.T) {
+	s, err := NewSharded(Config{Dims: 2, Epsilon: 0.02, Delta: 0.05, Seed: 29}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(29, 3))
+	var prev *Snapshot
+	var prevBytes []byte
+	for round := 0; round < 4; round++ {
+		for _, w := range s.workers {
+			for i := 0; i < 5000+rng.IntN(20000); i++ {
+				p := randDiffPacket(rng)
+				w.Update(p.src, p.dst)
+			}
+		}
+		s.Sync()
+		before := slices.Clone(s.HeavyHitters(0.05))
+		snap := s.Snapshot()
+		after := s.HeavyHitters(0.05)
+		if !slices.Equal(before, after) {
+			t.Fatalf("round %d: query after Snapshot differs:\n before: %+v\n after:  %+v", round, before, after)
+		}
+		parts := make([]*Snapshot, len(s.workers))
+		for i, w := range s.workers {
+			parts[i] = w.m.Snapshot()
+		}
+		seq, err := parts[0].Merge(parts[1:]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := seq.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: Snapshot bytes differ from a sequential merge (%d vs %d bytes)", round, len(got), len(want))
+		}
+		if prev != nil {
+			if again, _ := prev.MarshalBinary(); !bytes.Equal(again, prevBytes) {
+				t.Fatalf("round %d: an earlier snapshot changed under later traffic", round)
+			}
+		}
+		prev, prevBytes = snap, got
+	}
 }
 
 // TestShardedBoundedStaleness pins the publication-cadence contract exactly:
