@@ -41,7 +41,7 @@ type server struct {
 	shutdown   chan struct{}  // closed by beginDrain: ends every /watch stream
 	sseDrops   telemetry.Cell // /watch clients dropped on a failed or timed-out write
 
-	ckpt      *rhhh.Checkpointer   // nil when checkpointing is disabled
+	ckpt      *rhhh.Checkpointer    // nil when checkpointing is disabled
 	ckptStats resilience.StoreStats // placeholder registered when ckpt == nil
 }
 

@@ -127,7 +127,7 @@ type Engine[K comparable] struct {
 // configuration (this is a constructor-time programming error, not a runtime
 // condition).
 func New[K comparable](dom *hierarchy.Domain[K], cfg Config) *Engine[K] {
-	counters := ssCounters(cfg.Epsilon)
+	counters := CountersFor(cfg.Epsilon)
 	var inst []Instance[K]
 	switch cfg.Backend {
 	case SpaceSavingBackend:
@@ -239,9 +239,6 @@ func CountersFor(epsilon float64) int {
 	}
 	return int(math.Ceil((1 + epsilon) / epsilon))
 }
-
-// ssCounters keeps the old internal name for the constructor.
-func ssCounters(epsilon float64) int { return CountersFor(epsilon) }
 
 // Domain returns the engine's lattice domain.
 func (e *Engine[K]) Domain() *hierarchy.Domain[K] { return e.dom }
@@ -552,7 +549,7 @@ func (e *Engine[K]) applyGrouped(weighted bool) {
 		}
 		slots := e.planSlot[:end-win]
 		hashes := e.planHash[:end-win]
-		mayDup := spacesaving.ResolveAcross(e.ss, e.grpNode[win:end], e.grpKey[win:end], slots, hashes)
+		spacesaving.ResolveAcross(e.ss, e.grpNode[win:end], e.grpKey[win:end], slots, hashes)
 		for i := win; i < end; {
 			nd := e.grpNode[i]
 			j := i + 1
@@ -560,9 +557,9 @@ func (e *Engine[K]) applyGrouped(weighted bool) {
 				j++
 			}
 			if weighted {
-				e.ss[nd].ApplyWeightedPlanned(e.grpKey[i:j], e.grpW[i:j], slots[i-win:j-win], hashes[i-win:j-win], mayDup)
+				e.ss[nd].ApplyWeightedPlanned(e.grpKey[i:j], e.grpW[i:j], slots[i-win:j-win], hashes[i-win:j-win])
 			} else {
-				e.ss[nd].ApplyPlanned(e.grpKey[i:j], slots[i-win:j-win], hashes[i-win:j-win], mayDup)
+				e.ss[nd].ApplyPlanned(e.grpKey[i:j], slots[i-win:j-win], hashes[i-win:j-win])
 			}
 			i = j
 		}

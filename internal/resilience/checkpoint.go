@@ -180,7 +180,7 @@ func (s *Store) Dir() string { return s.dir }
 // within it.
 func (s *Store) Generation() (gen uint64, seq uint32) { return s.gen, s.seq }
 
-func fullName(gen uint64) string         { return fmt.Sprintf("full-%016x.ckpt", gen) }
+func fullName(gen uint64) string            { return fmt.Sprintf("full-%016x.ckpt", gen) }
 func segName(gen uint64, seq uint32) string { return fmt.Sprintf("seg-%016x-%08x.jrnl", gen, seq) }
 
 // frame renders one self-validating file image into s.buf.

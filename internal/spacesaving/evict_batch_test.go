@@ -1,12 +1,12 @@
 package spacesaving
 
-// Differential tests for the batched-eviction apply path (evictRun) and the
-// lazy bucket-coalescing discipline. The existing kernel differentials in
-// ref_test.go exercise these through random schedules; the tests here force
-// the specific shapes the batch path special-cases: maximal runs of planned
-// misses against one min bucket, cascades that drain several count levels in
-// a single chunk, runs broken by hits and by weight changes, and chunks that
-// repeat unmonitored keys (the mayDup fallback that must bypass evictRun).
+// Differential tests for the batch kernel's eviction-heavy regimes. The
+// kernel differentials in ref_test.go exercise eviction through random
+// schedules; the tests here force the shapes that stress the apply phase's
+// plan replay: maximal runs of planned misses against one min bucket,
+// cascades that drain several count levels in a single chunk, runs broken by
+// hits and by weight changes, and chunks that repeat unmonitored keys (the
+// planned misses that must look themselves up again after an admission).
 
 import (
 	"math/rand/v2"
@@ -29,8 +29,8 @@ var evictRegimes = []struct {
 
 // TestBatchedEvictionFreshRuns drives chunks made entirely of never-seen
 // keys — every chunk entry is a planned miss, so at capacity the whole chunk
-// retires through evictRun, draining the min bucket level by level — and
-// compares full state against the sequential reference after every chunk.
+// evicts, draining the min bucket level by level — and compares full state
+// against the sequential reference after every chunk.
 func TestBatchedEvictionFreshRuns(t *testing.T) {
 	for _, tc := range evictRegimes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,7 +44,7 @@ func TestBatchedEvictionFreshRuns(t *testing.T) {
 						keys[i] = next
 						next++
 					}
-					s.IncrementBatch(keys)
+					applyBatch(s, keys, nil)
 					incrementBatchRef(ref, keys)
 					mustMatchRef(t, tc.name, s, ref)
 				}
@@ -53,11 +53,10 @@ func TestBatchedEvictionFreshRuns(t *testing.T) {
 	}
 }
 
-// TestBatchedEvictionSameBucket pins the worst case the batch path exists
-// for: a summary whose counters all share one min bucket (equal counts), hit
-// with repeated all-miss chunks — each chunk empties and re-forms the min
-// bucket several times over, exercising the level cascade and the eager
-// min-bucket removal inside evictRun.
+// TestBatchedEvictionSameBucket pins the eviction worst case: a summary
+// whose counters all share one min bucket (equal counts), hit with repeated
+// all-miss chunks — each chunk empties and re-forms the min bucket several
+// times over, exercising the level cascade and the min-bucket removal.
 func TestBatchedEvictionSameBucket(t *testing.T) {
 	const capacity = 48
 	s := New[uint64](capacity)
@@ -66,7 +65,7 @@ func TestBatchedEvictionSameBucket(t *testing.T) {
 	for i := range seed {
 		seed[i] = uint64(i)
 	}
-	s.IncrementBatch(seed)
+	applyBatch(s, seed, nil)
 	incrementBatchRef(ref, seed)
 	mustMatchRef(t, "seed", s, ref)
 
@@ -79,7 +78,7 @@ func TestBatchedEvictionSameBucket(t *testing.T) {
 			keys[i] = next
 			next++
 		}
-		s.IncrementBatch(keys)
+		applyBatch(s, keys, nil)
 		incrementBatchRef(ref, keys)
 		mustMatchRef(t, "sameBucket", s, ref)
 	}
@@ -98,7 +97,7 @@ func TestBatchedEvictionBrokenRuns(t *testing.T) {
 	for i := range hot {
 		hot[i] = uint64(i)
 	}
-	s.IncrementBatch(hot)
+	applyBatch(s, hot, nil)
 	incrementBatchRef(ref, hot)
 
 	next := uint64(1) << 48
@@ -120,15 +119,15 @@ func TestBatchedEvictionBrokenRuns(t *testing.T) {
 				next++
 			}
 		}
-		s.IncrementBatch(keys)
+		applyBatch(s, keys, nil)
 		incrementBatchRef(ref, keys)
 		mustMatchRef(t, "brokenRuns", s, ref)
 	}
 }
 
 // TestBatchedEvictionWeighted drives the weighted batch path through
-// equal-weight runs (batched), weight changes mid-run (run splits), zero
-// weights inside runs, and large weights that cascade across count levels.
+// equal-weight runs, weight changes mid-run, zero weights inside runs, and
+// large weights that cascade across count levels.
 func TestBatchedEvictionWeighted(t *testing.T) {
 	const capacity = 40
 	rng := rand.New(rand.NewPCG(5, 17))
@@ -158,15 +157,15 @@ func TestBatchedEvictionWeighted(t *testing.T) {
 				keys[i] = rng.Uint64N(uint64(capacity))
 			}
 		}
-		s.IncrementBatchWeighted(keys, ws)
+		applyBatch(s, keys, ws)
 		incrementBatchWeightedRef(ref, keys, ws)
 		mustMatchRef(t, "weighted", s, ref)
 	}
 }
 
 // TestBatchedEvictionDuplicateMisses repeats unmonitored keys within one
-// chunk: planDup forces the per-miss fallback (lookup before insert), which
-// must coexist with the lazy coalescing discipline and stay bit-identical.
+// chunk: after the first admission every planned miss looks itself up again
+// before inserting, and the result must stay bit-identical.
 func TestBatchedEvictionDuplicateMisses(t *testing.T) {
 	const capacity = 24
 	rng := rand.New(rand.NewPCG(3, 99))
@@ -184,119 +183,8 @@ func TestBatchedEvictionDuplicateMisses(t *testing.T) {
 				next++
 			}
 		}
-		s.IncrementBatch(keys)
+		applyBatch(s, keys, nil)
 		incrementBatchRef(ref, keys)
 		mustMatchRef(t, "dupMisses", s, ref)
-	}
-}
-
-// TestApplyPlannedMayDupModes replays identical streams through ApplyPlanned
-// with mayDup forced true (per-miss fallback path) and forced false (batched
-// eviction path) on two summaries; both must match the sequential reference.
-// Valid only for streams that genuinely repeat no unmonitored key in-chunk —
-// guaranteed here by making every chunk's keys pairwise distinct.
-func TestApplyPlannedMayDupModes(t *testing.T) {
-	const capacity = 32
-	sTrue := New[uint64](capacity)
-	sFalse := New[uint64](capacity)
-	ref := newRefSummary[uint64](capacity)
-	var slots [BatchChunk]int32
-	var hashes [BatchChunk]uint32
-	next := uint64(1) << 36
-	rng := rand.New(rand.NewPCG(8, 8))
-	for round := 0; round < 64; round++ {
-		keys := make([]uint64, BatchChunk)
-		perm := rng.Perm(capacity) // low keys without replacement
-		lo := 0
-		for i := range keys {
-			if rng.IntN(2) == 0 && lo < len(perm) {
-				keys[i] = uint64(perm[lo]) // often monitored, never repeated
-				lo++
-			} else {
-				keys[i] = next // fresh, never repeated
-				next++
-			}
-		}
-		for _, s := range []*Summary[uint64]{sTrue, sFalse} {
-			s.Resolve(keys)
-			copy(slots[:], s.planSlot[:len(keys)])
-			copy(hashes[:], s.planHash[:len(keys)])
-			s.ApplyPlanned(keys, slots[:len(keys)], hashes[:len(keys)], s == sTrue)
-		}
-		incrementBatchRef(ref, keys)
-		mustMatchRef(t, "mayDup=true", sTrue, ref)
-		mustMatchRef(t, "mayDup=false", sFalse, ref)
-	}
-}
-
-// TestResolveAcrossMayDup checks the window duplicate detection: a repeated
-// unmonitored (node, key) pair must report mayDup, and the same key on
-// different nodes must not force it.
-func TestResolveAcrossMayDup(t *testing.T) {
-	mk := func() []*Summary[uint64] {
-		sums := make([]*Summary[uint64], 2)
-		for i := range sums {
-			sums[i] = New[uint64](4)
-			for k := uint64(0); k < 4; k++ {
-				sums[i].Increment(k)
-			}
-		}
-		return sums
-	}
-	var slots [BatchChunk]int32
-	var hashes [BatchChunk]uint32
-
-	sums := mk()
-	nodes := []int32{0, 0, 1, 1}
-	keys := []uint64{100, 100, 200, 201}
-	if !ResolveAcross(sums, nodes, keys, slots[:4], hashes[:4]) {
-		t.Fatal("repeated unmonitored (node, key) must report mayDup")
-	}
-
-	sums = mk()
-	keys = []uint64{100, 101, 100, 102} // same key, different nodes
-	if ResolveAcross(sums, nodes, keys, slots[:4], hashes[:4]) {
-		t.Fatal("same key on different nodes must not report mayDup")
-	}
-
-	sums = mk()
-	keys = []uint64{0, 1, 2, 3} // all monitored: no misses at all
-	if ResolveAcross(sums, nodes, keys, slots[:4], hashes[:4]) {
-		t.Fatal("all-hit window must not report mayDup")
-	}
-}
-
-// TestLazyCoalesceSweep checks that no empty bucket survives an apply: after
-// any batch, walking the bucket chain from min must find strictly ascending
-// counts and a non-empty head at every bucket.
-func TestLazyCoalesceSweep(t *testing.T) {
-	const capacity = 32
-	rng := rand.New(rand.NewPCG(13, 37))
-	s := New[uint64](capacity)
-	next := uint64(1) << 44
-	for round := 0; round < 128; round++ {
-		n := 1 + rng.IntN(2*BatchChunk)
-		keys := make([]uint64, n)
-		for i := range keys {
-			if rng.IntN(2) == 0 {
-				keys[i] = rng.Uint64N(capacity)
-			} else {
-				keys[i] = next
-				next++
-			}
-		}
-		s.IncrementBatch(keys)
-		var lastCount uint64
-		seen := 0
-		for b := s.min; b != nilIdx; b = s.buckets[b].next {
-			if s.buckets[b].head == nilIdx {
-				t.Fatalf("round %d: empty bucket (count %d) survived the sweep", round, s.buckets[b].count)
-			}
-			if seen > 0 && s.buckets[b].count <= lastCount {
-				t.Fatalf("round %d: bucket counts not ascending: %d after %d", round, s.buckets[b].count, lastCount)
-			}
-			lastCount = s.buckets[b].count
-			seen++
-		}
 	}
 }

@@ -6,129 +6,37 @@ import (
 	"testing"
 )
 
-// BenchmarkUpdateKernel isolates the phases of the two-phase batch kernel at
-// the paper's ε=0.001 scale (1001 counters, steady state, mostly monitored
-// keys — the RHHH per-node workload):
+// BenchmarkUpdateKernel measures the update kernel at the paper's ε=0.001
+// scale (1001 counters, steady state, mostly monitored keys — the RHHH
+// per-node workload):
 //
-//   - Resolve: the read-only planning pass alone — hash + cuckoo probes +
-//     slab confirm + bucket-line touch for a full chunk. This is the
-//     memory-level-parallel part; its ns/op is the per-update cost when all
-//     chunk misses overlap.
-//   - ResolveApply: the full kernel (Resolve + Apply). The difference to
-//     Resolve is the apply phase: bucket-list surgery against warm lines.
-//   - Sequential: the per-key Increment loop over the same keys — the
-//     dependent-chain baseline the kernel is trying to beat.
+//   - Sequential: the per-key Increment loop on one summary — the
+//     dependent-chain baseline.
+//   - SequentialNodes, ResolveAcrossNodes, ResolveApplyNodes: the same loop
+//     and the two-phase batch kernel at the engine's 25-node shape (below).
 //
 // ns/op is per update (b.N counts keys, not chunks).
 func BenchmarkUpdateKernel(b *testing.B) {
 	const capacity = 1001
-	mkKeys := func(n int, spread uint64) []uint64 {
-		rng := rand.New(rand.NewPCG(1, 2))
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = rng.Uint64N(spread)
-		}
-		return keys
-	}
-	fill := func(keys []uint64) *Summary[uint64] {
-		s := New[uint64](capacity)
-		for round := 0; round < 40; round++ {
-			s.IncrementBatch(keys)
-		}
-		return s
-	}
+	rng := rand.New(rand.NewPCG(1, 2))
 	// The steady-state mix: a key space a few times the capacity, so most
 	// updates hit monitored keys with a steady trickle of evictions —
 	// matching a converged RHHH node on a heavy-tailed trace.
-	keys := mkKeys(1<<14, 4*capacity)
+	keys := make([]uint64, 1<<14)
+	for i := range keys {
+		keys[i] = rng.Uint64N(4 * capacity)
+	}
 	mask := len(keys) - 1
 
-	b.Run("Resolve", func(b *testing.B) {
-		s := fill(keys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += BatchChunk {
-			off := i & mask
-			end := off + BatchChunk
-			if end > len(keys) {
-				end = len(keys)
-			}
-			s.Resolve(keys[off:end])
-		}
-	})
-	b.Run("ResolveApply", func(b *testing.B) {
-		s := fill(keys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += BatchChunk {
-			off := i & mask
-			end := off + BatchChunk
-			if end > len(keys) {
-				end = len(keys)
-			}
-			s.Resolve(keys[off:end])
-			s.Apply(keys[off:end])
-		}
-	})
 	b.Run("Sequential", func(b *testing.B) {
-		s := fill(keys)
+		s := New[uint64](capacity)
+		for round := 0; round < 40; round++ {
+			applyBatch(s, keys, nil)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Increment(keys[i&mask])
-		}
-	})
-
-	// Eviction isolation: the same kernel split with the miss rate pinned at
-	// the extremes, so the eviction path's cost is measured directly rather
-	// than inferred from the steady-state mix.
-	//
-	//   - ApplyHitOnly: a key space under capacity — after warmup every
-	//     update is a planned hit and the apply phase is pure bump work.
-	//     ResolveApply minus Resolve is then the no-evict apply floor.
-	//   - Evict: a key space 64× capacity — after warmup essentially every
-	//     update misses and the apply phase is pure eviction, batched through
-	//     evictRun. Minus Resolve, this is the eviction floor the batched
-	//     detach pass is attacking.
-	//   - EvictSequential: the same all-miss workload through per-key
-	//     Increment — the serial bucket-surgery baseline the batch replaces.
-	hitKeys := mkKeys(1<<14, capacity-1)
-	missKeys := mkKeys(1<<16, 64*capacity)
-	missMask := len(missKeys) - 1
-	b.Run("ApplyHitOnly", func(b *testing.B) {
-		s := fill(hitKeys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += BatchChunk {
-			off := i & mask
-			end := off + BatchChunk
-			if end > len(hitKeys) {
-				end = len(hitKeys)
-			}
-			s.Resolve(hitKeys[off:end])
-			s.Apply(hitKeys[off:end])
-		}
-	})
-	b.Run("Evict", func(b *testing.B) {
-		s := fill(missKeys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += BatchChunk {
-			off := i & missMask
-			end := off + BatchChunk
-			if end > len(missKeys) {
-				end = len(missKeys)
-			}
-			s.Resolve(missKeys[off:end])
-			s.Apply(missKeys[off:end])
-		}
-	})
-	b.Run("EvictSequential", func(b *testing.B) {
-		s := fill(missKeys)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Increment(missKeys[i&missMask])
 		}
 	})
 
@@ -201,14 +109,14 @@ func BenchmarkUpdateKernel(b *testing.B) {
 			if end > len(keys) {
 				end = len(keys)
 			}
-			mayDup := ResolveAcross(sums, nd[off:end], keys[off:end], slots[:end-off], hashes[:end-off])
+			ResolveAcross(sums, nd[off:end], keys[off:end], slots[:end-off], hashes[:end-off])
 			for j := off; j < end; {
 				n := nd[j]
 				k := j + 1
 				for k < end && nd[k] == n {
 					k++
 				}
-				sums[n].ApplyPlanned(keys[j:k], slots[j-off:k-off], hashes[j-off:k-off], mayDup)
+				sums[n].ApplyPlanned(keys[j:k], slots[j-off:k-off], hashes[j-off:k-off])
 				j = k
 			}
 		}

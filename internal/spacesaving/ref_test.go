@@ -7,7 +7,8 @@ package spacesaving
 // (and hence snapshots) must be bit-identical to the production slab for any
 // update sequence. incrementBatchRef is the pre-split batch semantics: one
 // sequential Increment per key. The differential tests drive both through
-// random and adversarial schedules and compare full state.
+// random and adversarial schedules and compare full state; applyBatch feeds
+// the production side through the engine's batch kernel.
 
 import (
 	"math/rand/v2"
@@ -73,17 +74,37 @@ func (s *refSummary[K]) IncrementBy(k K, w uint64) {
 }
 
 // incrementBatchRef is the pre-split batched update: strictly sequential
-// per-key increments, the semantics IncrementBatch must preserve.
+// per-key increments, the semantics the batch kernel must preserve.
 func incrementBatchRef[K comparable](s *refSummary[K], keys []K) {
 	for _, k := range keys {
 		s.Increment(k)
 	}
 }
 
-// incrementBatchWeightedRef mirrors IncrementBatchWeighted sequentially.
+// incrementBatchWeightedRef is incrementBatchRef with per-key weights.
 func incrementBatchWeightedRef[K comparable](s *refSummary[K], keys []K, ws []uint64) {
 	for i, k := range keys {
 		s.IncrementBy(k, ws[i])
+	}
+}
+
+// applyBatch feeds keys (weighted by ws, or unit weights when ws is nil)
+// through the production batch kernel the way the engine drives one node:
+// ResolveAcross over a one-summary slice, then ApplyPlanned or
+// ApplyWeightedPlanned, in BatchChunk windows.
+func applyBatch[K comparable](s *Summary[K], keys []K, ws []uint64) {
+	sums := []*Summary[K]{s}
+	var nodes, slots [BatchChunk]int32
+	var hashes [BatchChunk]uint32
+	for off := 0; off < len(keys); off += BatchChunk {
+		end := min(off+BatchChunk, len(keys))
+		n := end - off
+		ResolveAcross(sums, nodes[:n], keys[off:end], slots[:n], hashes[:n])
+		if ws == nil {
+			s.ApplyPlanned(keys[off:end], slots[:n], hashes[:n])
+		} else {
+			s.ApplyWeightedPlanned(keys[off:end], ws[off:end], slots[:n], hashes[:n])
+		}
 	}
 }
 
@@ -215,9 +236,23 @@ func stateOf(fe func(func(uint64, uint64, uint64))) []entry {
 }
 
 // mustMatchRef compares the production summary against the reference in
-// full: N, Len, MinCount and the exact ForEach sequence.
+// full: N, Len, MinCount and the exact ForEach sequence. It also walks the
+// bucket chain from min, which ForEach cannot check: no bucket may be empty
+// and counts must strictly ascend.
 func mustMatchRef(t *testing.T, tag string, s *Summary[uint64], ref *refSummary[uint64]) {
 	t.Helper()
+	var last uint64
+	seen := 0
+	for b := s.min; b != nilIdx; b = s.buckets[b].next {
+		if s.buckets[b].head == nilIdx {
+			t.Fatalf("%s: empty bucket (count %d) in the chain", tag, s.buckets[b].count)
+		}
+		if seen > 0 && s.buckets[b].count <= last {
+			t.Fatalf("%s: bucket counts not ascending: %d after %d", tag, s.buckets[b].count, last)
+		}
+		last = s.buckets[b].count
+		seen++
+	}
 	if s.N() != ref.n {
 		t.Fatalf("%s: N %d vs ref %d", tag, s.N(), ref.n)
 	}
@@ -274,7 +309,7 @@ func TestIncrementBatchMatchesAoSReference(t *testing.T) {
 					for i := range keys {
 						keys[i] = draw()
 					}
-					s.IncrementBatch(keys)
+					applyBatch(s, keys, nil)
 					incrementBatchRef(ref, keys)
 					mustMatchRef(t, tc.name, s, ref)
 				}
@@ -312,7 +347,7 @@ func TestIncrementBatchWeightedMatchesReference(t *testing.T) {
 					ws[i] = 1 + rng.Uint64N(16)
 				}
 			}
-			s.IncrementBatchWeighted(keys, ws)
+			applyBatch(s, keys, ws)
 			incrementBatchWeightedRef(ref, keys, ws)
 			mustMatchRef(t, "weighted", s, ref)
 		}
@@ -332,7 +367,7 @@ func TestResolveApplyStalePlans(t *testing.T) {
 	for i := uint64(0); i < capacity; i++ {
 		seedKeys = append(seedKeys, i)
 	}
-	s.IncrementBatch(seedKeys)
+	applyBatch(s, seedKeys, nil)
 	incrementBatchRef(ref, seedKeys)
 	mustMatchRef(t, "seed", s, ref)
 
@@ -340,7 +375,7 @@ func TestResolveApplyStalePlans(t *testing.T) {
 	// first's insertion), an existing key whose slot the eviction reuses,
 	// and interleaved bumps that shuffle slots via detach swaps.
 	chunk := []uint64{100, 100, 3, 101, 3, 101, 100, 5, 102, 102, 5, 0}
-	s.IncrementBatch(chunk)
+	applyBatch(s, chunk, nil)
 	incrementBatchRef(ref, chunk)
 	mustMatchRef(t, "stale", s, ref)
 
@@ -352,15 +387,15 @@ func TestResolveApplyStalePlans(t *testing.T) {
 		for i := range keys {
 			keys[i] = rng.Uint64N(24) // tiny space: constant evict/re-admit
 		}
-		s.IncrementBatch(keys)
+		applyBatch(s, keys, nil)
 		incrementBatchRef(ref, keys)
 		mustMatchRef(t, "churn", s, ref)
 	}
 }
 
-// TestResolveIsReadOnly: a Resolve not followed by its Apply must leave all
-// measurement state untouched (the engine pipeline relies on resolving node
-// i+1 before node i's apply).
+// TestResolveIsReadOnly: a ResolveAcross not followed by its applies must
+// leave all measurement state untouched (the engine resolves a whole window,
+// spanning several nodes, before the first of its applies).
 func TestResolveIsReadOnly(t *testing.T) {
 	s := New[uint64](32)
 	for i := uint64(0); i < 200; i++ {
@@ -368,14 +403,17 @@ func TestResolveIsReadOnly(t *testing.T) {
 	}
 	before := stateOf(s.ForEach)
 	n, used, min := s.N(), s.Len(), s.MinCount()
-	s.Resolve([]uint64{1, 2, 3, 999, 1000, 5, 5, 5})
+	keys := []uint64{1, 2, 3, 999, 1000, 5, 5, 5}
+	var nodes, slots [BatchChunk]int32
+	var hashes [BatchChunk]uint32
+	ResolveAcross([]*Summary[uint64]{s}, nodes[:len(keys)], keys, slots[:len(keys)], hashes[:len(keys)])
 	if s.N() != n || s.Len() != used || s.MinCount() != min {
-		t.Fatal("Resolve mutated scalar state")
+		t.Fatal("ResolveAcross mutated scalar state")
 	}
 	after := stateOf(s.ForEach)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("Resolve mutated entry %d: %+v vs %+v", i, before[i], after[i])
+			t.Fatalf("ResolveAcross mutated entry %d: %+v vs %+v", i, before[i], after[i])
 		}
 	}
 }

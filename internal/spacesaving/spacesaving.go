@@ -20,10 +20,11 @@
 // heap-allocated nodes, and the structure performs zero allocations after
 // construction.
 //
-// Batched updates run a two-phase kernel (Resolve + Apply, see those methods)
-// that issues every update's index and slab loads for a whole chunk before
-// applying any of them, so the cache misses of up to BatchChunk independent
-// updates overlap instead of serializing through the per-key path.
+// Batched updates run a two-phase kernel (ResolveAcross + ApplyPlanned, see
+// those functions) that issues every update's index and slab loads for a
+// whole window before applying any of them, so the cache misses of up to
+// BatchChunk independent updates overlap instead of serializing through the
+// per-key path.
 //
 // Guarantees (for capacity c after N unit updates):
 //
@@ -73,10 +74,10 @@ type bucket struct {
 	prev, next int32
 }
 
-// BatchChunk is the plan depth of the two-phase batch kernel: Resolve issues
-// the loads for up to this many updates before Apply retires them. 64 keeps
-// the whole plan (slots + hashes) in two cache lines while saturating the
-// load buffers of current cores.
+// BatchChunk is the window depth of the two-phase batch kernel:
+// ResolveAcross issues the loads for up to this many updates before
+// ApplyPlanned retires them. 64 keeps the plan (slots + hashes) at 512 bytes
+// while saturating the load buffers of current cores.
 const BatchChunk = 64
 
 // Summary is a Stream-Summary Space Saving instance. It is not safe for
@@ -106,36 +107,6 @@ type Summary[K comparable] struct {
 	stash   []int32  // overflowed slots, scanned only when non-empty
 	hash    func(k K) uint32
 
-	// Two-phase batch plan (see Resolve/Apply): resolved slab slot and key
-	// hash per chunk position, reused across chunks. planDup records whether
-	// the chunk may contain the same unmonitored key twice — only then can an
-	// earlier admission invalidate a later planned miss, forcing Apply's
-	// fallback lookup.
-	planSlot []int32
-	planHash []uint32
-	planDup  bool
-
-	// Lazy bucket coalescing (Apply only): while lazy is set, a bump that
-	// empties a bucket defers the unlink instead of doing list surgery
-	// inline. Emptied buckets keep their count and chain position — a later
-	// bump to the same count reuses them exactly where a fresh bucket would
-	// have been inserted — and applyEnd sweeps the still-empty ones.
-	// deferred is the dirty set; defMark (parallel to buckets) dedups it and
-	// is cleared by any eager removeBucket so the sweep never unlinks twice.
-	lazy     bool
-	deferred []int32
-	defMark  []uint8
-
-	// Duplicate-miss detection scratch: a small epoch-stamped open-addressed
-	// table (miss hash → plan index) giving Resolve/ResolveAcross an exact
-	// planDup answer in O(1) per miss — no quadratic scan, no conservative
-	// bound that would shut the batched-eviction path off on the all-miss
-	// chunks it exists for. ResolveAcross borrows the first window summary's
-	// table for the whole window (single-threaded like every other use).
-	dupIdx   []int32
-	dupStamp []uint32
-	dupEpoch uint32
-
 	warmSink uint64 // defeats dead-load elimination of the resolve loads
 
 	// evictions counts minimum-counter takeovers over the summary's
@@ -143,19 +114,6 @@ type Summary[K comparable] struct {
 	// Owned by the updating goroutine like all other state; readers go
 	// through the publication path, never this field.
 	evictions uint64
-}
-
-// dupTabSize is the duplicate-detection table size: double BatchChunk, so
-// the table never exceeds 50% load and linear probing stays short.
-const dupTabSize = 2 * BatchChunk
-
-// dupReset starts a new detection round, clearing stamps on epoch wrap.
-func (s *Summary[K]) dupReset() {
-	s.dupEpoch++
-	if s.dupEpoch == 0 {
-		clear(s.dupStamp)
-		s.dupEpoch = 1
-	}
 }
 
 // fpOf derives a non-zero fingerprint byte from a key hash.
@@ -224,12 +182,6 @@ func New[K comparable](capacity int) *Summary[K] {
 		bktMask:  nBkt - 1,
 		stash:    make([]int32, 0, 8),
 		hash:     hashFuncFor[K](),
-		planSlot: make([]int32, BatchChunk),
-		planHash: make([]uint32, BatchChunk),
-		deferred: make([]int32, 0, BatchChunk),
-		defMark:  make([]uint8, 0, capacity+1),
-		dupIdx:   make([]int32, dupTabSize),
-		dupStamp: make([]uint32, dupTabSize),
 	}
 	return s
 }
@@ -388,9 +340,6 @@ func (s *Summary[K]) insertOrEvict(k K, h uint32, w uint64) {
 		s.attach(c, w)
 		return
 	}
-	if s.lazy {
-		s.coalesceMin() // deferred empties may be parked at the front
-	}
 	c := s.buckets[s.min].head
 	minCount := s.buckets[s.min].count
 	s.evictions++
@@ -401,315 +350,8 @@ func (s *Summary[K]) insertOrEvict(k K, h uint32, w uint64) {
 	s.bump(c, minCount+w)
 }
 
-// Resolve plans the next Apply for a chunk of up to BatchChunk keys: it runs
-// the full cuckoo-index lookup for every key, recording hit/miss and the hit
-// slab slot, and touches the hit counters' bucket lines — so by the time
-// Apply replays the plan, every cache line a steady-state update needs is in
-// flight or resident, and the misses of the whole chunk overlap instead of
-// serializing through the dependent-load chain of the per-key path.
-//
-// Resolve reads but never mutates measurement state. Apply (or
-// ApplyWeighted) must follow with the same keys before any other mutation of
-// the summary; the plan does not survive interleaved updates.
-func (s *Summary[K]) Resolve(keys []K) {
-	if len(keys) > len(s.planSlot) {
-		s.planSlot = make([]int32, len(keys))
-		s.planHash = make([]uint32, len(keys))
-	}
-	var warm uint64
-	misses := 0
-	for i, k := range keys {
-		h := s.hash(k)
-		s.planHash[i] = h
-		c := s.lookup(k, h)
-		s.planSlot[i] = c
-		if c != nilIdx {
-			// Load the bucket line the bump will read; the count feeds the
-			// warm sink so the load cannot be elided.
-			warm += s.buckets[s.hot[c].bkt].count
-		} else {
-			misses++
-		}
-	}
-	// Duplicate-miss detection: a planned miss only goes stale when the same
-	// key was admitted earlier in the chunk, i.e. the chunk repeats an
-	// unmonitored key. Each miss probes the epoch-stamped table once — exact
-	// detection in O(misses), with no bound that would disable the batched
-	// eviction path on all-miss chunks.
-	s.planDup = false
-	if misses > 1 {
-		s.dupReset()
-	dupScan:
-		for i, k := range keys {
-			if s.planSlot[i] != nilIdx {
-				continue
-			}
-			pos := s.planHash[i] & (dupTabSize - 1)
-			for s.dupStamp[pos] == s.dupEpoch {
-				if keys[s.dupIdx[pos]] == k {
-					s.planDup = true
-					break dupScan
-				}
-				pos = (pos + 1) & (dupTabSize - 1)
-			}
-			s.dupStamp[pos] = s.dupEpoch
-			s.dupIdx[pos] = int32(i)
-		}
-	}
-	if misses > 0 && s.min != nilIdx {
-		// The eviction path of any planned miss starts at the min bucket;
-		// its victims are the leading siblings of the min-bucket list. Walk
-		// them read-only, touching the three lines each eviction will write
-		// — the victim's hot entry, its cold entry, and its index lane —
-		// so the apply's evictions hit warm lines too.
-		warm += s.buckets[s.min].count
-		c := s.buckets[s.min].head
-		for i := 0; i < misses && c != nilIdx; i++ {
-			pos := s.cold[c].tabPos
-			if pos != stashPos {
-				warm += uint64(s.fps[pos/4])
-			}
-			c = s.hot[c].next
-		}
-	}
-	s.warmSink += warm
-}
-
-// Apply replays a Resolve plan, adding one occurrence of each key in order —
-// equivalent to calling Increment per key. Planned hits skip the index
-// probes entirely; a plan entry invalidated by an earlier update in the same
-// chunk (a detach swap moved the key, an eviction removed it, or an earlier
-// miss admitted it) falls back to a fresh lookup, so the result is
-// bit-identical to the sequential path.
-func (s *Summary[K]) Apply(keys []K) {
-	s.ApplyPlanned(keys, s.planSlot[:len(keys)], s.planHash[:len(keys)], s.planDup)
-}
-
-// ApplyWeighted replays a Resolve plan with per-key weights — equivalent to
-// calling IncrementBy per (key, weight) pair, including the w == 0 no-op.
-func (s *Summary[K]) ApplyWeighted(keys []K, ws []uint64) {
-	s.ApplyWeightedPlanned(keys, ws, s.planSlot[:len(keys)], s.planHash[:len(keys)], s.planDup)
-}
-
-// ApplyPlanned is Apply with a caller-held plan (see ResolveAcross): slots
-// and hashes are parallel to keys. mayDup tells Apply whether the chunk may
-// repeat an unmonitored key; passing true is always safe and only costs a
-// warm re-lookup per planned miss after the chunk's first admission.
-//
-// Apply runs with lazy bucket coalescing: buckets emptied by a bump stay in
-// the chain (count intact, invisible to every observable) until the end of
-// the chunk, so per-sample unlink/relink surgery stays out of the hot loop.
-// When the chunk provably repeats no unmonitored key (mayDup false), runs of
-// consecutive planned misses at capacity are retired by evictRun — one walk
-// of the min-bucket chain per count level instead of per-victim surgery.
-// Both disciplines are bit-identical to the sequential path on every
-// observable (N, Len, MinCount, the ForEach sequence).
-func (s *Summary[K]) ApplyPlanned(keys []K, slots []int32, hashes []uint32, mayDup bool) {
-	s.lazy = true
-	dirty := false // a planned-miss key was admitted during this chunk
-	n := len(keys)
-	for i := 0; i < n; {
-		k := keys[i]
-		c := slots[i]
-		if c != nilIdx {
-			s.n++
-			if s.hot[c].key == k {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+1)
-				i++
-				continue
-			}
-			// Stale hit: a detach swap moved the key, or an eviction removed
-			// it — a fresh lookup decides which.
-			h := hashes[i]
-			if c = s.lookup(k, h); c != nilIdx {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+1)
-			} else {
-				s.insertOrEvict(k, h, 1)
-			}
-			i++
-			continue
-		}
-		if !mayDup && s.used == s.capacity {
-			// Batched eviction: every following planned miss is a distinct,
-			// still-unmonitored key (no duplicate can have admitted it), so
-			// the whole run evicts in one pass.
-			j := i + 1
-			for j < n && slots[j] == nilIdx {
-				j++
-			}
-			s.n += uint64(j - i)
-			s.evictRun(keys[i:j], hashes[i:j], 1)
-			i = j
-			continue
-		}
-		// Planned miss: still a miss unless this chunk admitted the same key
-		// earlier, which requires both an admission and a duplicated miss.
-		s.n++
-		h := hashes[i]
-		if dirty && mayDup {
-			if c = s.lookup(k, h); c != nilIdx {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+1)
-				i++
-				continue
-			}
-		}
-		s.insertOrEvict(k, h, 1)
-		dirty = true
-		i++
-	}
-	s.applyEnd()
-}
-
-// ApplyWeightedPlanned is ApplyWeighted with a caller-held plan. Runs of
-// consecutive equal-weight planned misses batch through evictRun like
-// ApplyPlanned's unit runs.
-func (s *Summary[K]) ApplyWeightedPlanned(keys []K, ws []uint64, slots []int32, hashes []uint32, mayDup bool) {
-	s.lazy = true
-	dirty := false
-	n := len(keys)
-	for i := 0; i < n; {
-		w := ws[i]
-		if w == 0 {
-			i++
-			continue
-		}
-		k := keys[i]
-		c := slots[i]
-		if c != nilIdx {
-			s.n += w
-			if s.hot[c].key == k {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+w)
-				i++
-				continue
-			}
-			h := hashes[i]
-			if c = s.lookup(k, h); c != nilIdx {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+w)
-			} else {
-				s.insertOrEvict(k, h, w)
-			}
-			i++
-			continue
-		}
-		if !mayDup && s.used == s.capacity {
-			j := i + 1
-			for j < n && slots[j] == nilIdx && ws[j] == w {
-				j++
-			}
-			s.n += uint64(j-i) * w
-			s.evictRun(keys[i:j], hashes[i:j], w)
-			i = j
-			continue
-		}
-		s.n += w
-		h := hashes[i]
-		if dirty && mayDup {
-			if c = s.lookup(k, h); c != nilIdx {
-				s.bump(c, s.buckets[s.hot[c].bkt].count+w)
-				i++
-				continue
-			}
-		}
-		s.insertOrEvict(k, h, w)
-		dirty = true
-		i++
-	}
-	s.applyEnd()
-}
-
-// evictRun admits a run of distinct, currently-unmonitored keys, each
-// carrying weight w, against a summary at capacity — the batched equivalent
-// of calling insertOrEvict per key. Victims pop off the min-bucket chain in
-// order (the exact victims the sequential path would pick), each takeover is
-// one index delete + one index insert, and the chain splice into the
-// count-m+w target bucket happens once per count level instead of once per
-// victim. When a level drains the min bucket the next level restarts from
-// the new minimum, reproducing the sequential cascade.
-func (s *Summary[K]) evictRun(keys []K, hashes []uint32, w uint64) {
-	for i := 0; i < len(keys); {
-		s.coalesceMin()
-		b0 := s.min
-		m := s.buckets[b0].count
-		newCount := m + w
-		// Locate or create the target bucket, exactly where the sequential
-		// bump's walk from the min bucket would land it.
-		prev := b0
-		b := s.buckets[b0].next
-		for b != nilIdx && s.buckets[b].count < newCount {
-			prev = b
-			b = s.buckets[b].next
-		}
-		if b == nilIdx || s.buckets[b].count != newCount {
-			b = s.newBucket(newCount, prev, b)
-		}
-		// Pop victims off the min chain, assigning run keys in stream order;
-		// pushCounter is LIFO, so threading each victim in front of the
-		// previous one reproduces the sequential chain exactly.
-		head := s.buckets[b].head
-		c := s.buckets[b0].head
-		for c != nilIdx && i < len(keys) {
-			next := s.hot[c].next
-			s.evictions++
-			s.indexDelete(c)
-			s.hot[c].key = keys[i]
-			s.cold[c].err = m
-			s.indexInsert(c, hashes[i])
-			s.hot[c].bkt = b
-			s.hot[c].next = head
-			head = c
-			c = next
-			i++
-		}
-		s.buckets[b].head = head
-		s.buckets[b0].head = c
-		if c == nilIdx {
-			s.removeBucket(b0)
-		}
-	}
-}
-
-// coalesceMin eagerly unlinks lazily-deferred empty buckets sitting at the
-// front of the chain, so the eviction path always sees the true minimum.
-func (s *Summary[K]) coalesceMin() {
-	for s.min != nilIdx && s.buckets[s.min].head == nilIdx {
-		s.removeBucket(s.min)
-	}
-}
-
-// deferCoalesce queues an emptied bucket for the end-of-chunk sweep.
-func (s *Summary[K]) deferCoalesce(b int32) {
-	if s.defMark[b] == 0 {
-		s.defMark[b] = 1
-		s.deferred = append(s.deferred, b)
-	}
-}
-
-// applyEnd leaves lazy mode: deferred buckets that are still empty (and not
-// already eagerly removed or refilled at their count) are unlinked now. The
-// common nothing-deferred case must stay inline in the Apply loops, so the
-// sweep itself is split out.
-func (s *Summary[K]) applyEnd() {
-	s.lazy = false
-	if len(s.deferred) != 0 {
-		s.sweepDeferred()
-	}
-}
-
-// sweepDeferred unlinks the still-empty deferred buckets.
-func (s *Summary[K]) sweepDeferred() {
-	for _, b := range s.deferred {
-		if s.defMark[b] != 0 {
-			s.defMark[b] = 0
-			if s.buckets[b].head == nilIdx {
-				s.removeBucket(b)
-			}
-		}
-	}
-	s.deferred = s.deferred[:0]
-}
-
 // ResolveAcross plans one update per sample across many summaries at once —
-// the cross-node half of the batch kernel. Sample i is keys[i] against
+// the first half of the batch kernel. Sample i is keys[i] against
 // sums[nodes[i]]; the resolved slab slot (or nilIdx) and key hash land in
 // slots[i] / hashes[i], which a following ApplyPlanned replays run by run.
 // len(keys) must be at most BatchChunk; summaries may repeat, but a window's
@@ -717,24 +359,18 @@ func (s *Summary[K]) sweepDeferred() {
 // engine's counting sort does) so that nothing mutates a summary between a
 // sample's resolve and its apply.
 //
-// Unlike per-summary Resolve — whose dependent probe chain (index word →
-// lane ref → slab confirm → bucket line) serializes per call — ResolveAcross
-// walks the whole window level by level: first every sample's two index
-// words, then every sample's candidate ref and slab confirm, then every
-// sample's bucket or eviction-victim lines. Each level issues up to
-// BatchChunk independent loads, so the window's cache misses overlap to the
-// limit of the machine's memory-level parallelism instead of stacking into
-// per-node round trips.
+// A per-key lookup is a dependent probe chain (index word → lane ref → slab
+// confirm → bucket line). ResolveAcross instead walks the whole window level
+// by level: first every sample's two index words, then every sample's
+// candidate ref and slab confirm, then every sample's bucket or
+// eviction-victim lines. Each level issues up to BatchChunk independent
+// loads, so the window's cache misses overlap to the limit of the machine's
+// memory-level parallelism instead of stacking into per-node round trips.
 //
-// Read-only, like Resolve. Samples that need the stash or see fingerprint
-// collisions fall back to the full lookup inside the confirm level.
-//
-// The returned mayDup reports whether the window may repeat an unmonitored
-// (node, key) pair — the per-window analogue of Resolve's planDup, computed
-// with the same bounded scan. Passing it to ApplyPlanned lets a duplicate-
-// free window (the overwhelmingly common case) take the batched-eviction
-// path.
-func ResolveAcross[K comparable](sums []*Summary[K], nodes []int32, keys []K, slots []int32, hashes []uint32) (mayDup bool) {
+// ResolveAcross reads but never mutates measurement state. Samples that need
+// the stash or see fingerprint collisions fall back to the full lookup
+// inside the confirm level.
+func ResolveAcross[K comparable](sums []*Summary[K], nodes []int32, keys []K, slots []int32, hashes []uint32) {
 	n := len(keys)
 	if n > BatchChunk {
 		panic("spacesaving: ResolveAcross window exceeds BatchChunk")
@@ -775,7 +411,6 @@ func ResolveAcross[K comparable](sums []*Summary[K], nodes []int32, keys []K, sl
 		}
 	}
 	// Level 3: load the candidate refs and confirm against the hot slab.
-	misses := 0
 	for i := 0; i < n; i++ {
 		switch cand[i] {
 		case candSlow:
@@ -790,34 +425,6 @@ func ResolveAcross[K comparable](sums []*Summary[K], nodes []int32, keys []K, sl
 			} else {
 				slots[i] = nilIdx // lone fingerprint collision: certain miss
 			}
-		}
-		if slots[i] == nilIdx {
-			misses++
-		}
-	}
-	// Duplicate-miss detection, as in Resolve but keyed on (node, key): each
-	// miss probes the borrowed epoch-stamped table once, so only misses pay
-	// and the answer is exact. Per-summary hash seeds differ, so the node is
-	// folded into the probe hash but equality still compares both fields.
-	if misses > 1 {
-		s0 := sums[0] // one fixed table across windows, so its lines stay hot
-		s0.dupReset()
-	dupScan:
-		for i := 0; i < n; i++ {
-			if slots[i] != nilIdx {
-				continue
-			}
-			pos := (hashes[i] ^ uint32(nodes[i])*0x9e3779b1) & (dupTabSize - 1)
-			for s0.dupStamp[pos] == s0.dupEpoch {
-				j := s0.dupIdx[pos]
-				if nodes[j] == nodes[i] && keys[j] == keys[i] {
-					mayDup = true
-					break dupScan
-				}
-				pos = (pos + 1) & (dupTabSize - 1)
-			}
-			s0.dupStamp[pos] = s0.dupEpoch
-			s0.dupIdx[pos] = int32(i)
 		}
 	}
 	// Level 4: warm the lines the apply phase will write — the hit buckets,
@@ -839,42 +446,61 @@ func ResolveAcross[K comparable](sums []*Summary[K], nodes []int32, keys []K, sl
 	if n > 0 {
 		sums[nodes[0]].warmSink += warm
 	}
-	return mayDup
 }
 
-// IncrementBatch adds one occurrence of each key, in order — equivalent to
-// calling Increment per key. Keys are processed in BatchChunk-sized chunks
-// through the two-phase kernel: Resolve issues every chunk update's index,
-// slab and bucket loads up front so their cache misses overlap, then Apply
-// retires the updates against warm lines.
-func (s *Summary[K]) IncrementBatch(keys []K) {
-	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > BatchChunk {
-			chunk = chunk[:BatchChunk]
+// ApplyPlanned replays a ResolveAcross plan for one summary's run of
+// samples, adding one occurrence of each key in order — equivalent to
+// calling Increment per key. slots and hashes are the run's part of the
+// plan, parallel to keys. Planned hits skip the index probes entirely. A
+// plan entry invalidated by an earlier update in the same run falls back to
+// a fresh lookup, so the result is bit-identical to the sequential path: a
+// stale hit (a detach swap moved the key, or an eviction removed it), and a
+// planned miss once the run has admitted a key (it may have been this one).
+func (s *Summary[K]) ApplyPlanned(keys []K, slots []int32, hashes []uint32) {
+	dirty := false // a key was admitted during this run
+	for i, k := range keys {
+		s.n++
+		c := slots[i]
+		if c != nilIdx && s.hot[c].key == k {
+			s.bump(c, s.buckets[s.hot[c].bkt].count+1)
+			continue
 		}
-		keys = keys[len(chunk):]
-		s.Resolve(chunk)
-		s.Apply(chunk)
+		h := hashes[i]
+		if c != nilIdx || dirty {
+			if c = s.lookup(k, h); c != nilIdx {
+				s.bump(c, s.buckets[s.hot[c].bkt].count+1)
+				continue
+			}
+		}
+		s.insertOrEvict(k, h, 1)
+		dirty = true
 	}
 }
 
-// IncrementBatchWeighted adds weight ws[i] of keys[i], in order — equivalent
-// to calling IncrementBy per pair. len(ws) must equal len(keys). Chunked
-// through the same two-phase kernel as IncrementBatch.
-func (s *Summary[K]) IncrementBatchWeighted(keys []K, ws []uint64) {
-	if len(ws) != len(keys) {
-		panic("spacesaving: keys/weights length mismatch")
-	}
-	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > BatchChunk {
-			chunk = chunk[:BatchChunk]
+// ApplyWeightedPlanned is ApplyPlanned with per-key weights — equivalent to
+// calling IncrementBy per (key, weight) pair, including the w == 0 no-op.
+func (s *Summary[K]) ApplyWeightedPlanned(keys []K, ws []uint64, slots []int32, hashes []uint32) {
+	dirty := false
+	for i, k := range keys {
+		w := ws[i]
+		if w == 0 {
+			continue
 		}
-		s.Resolve(chunk)
-		s.ApplyWeighted(chunk, ws[:len(chunk)])
-		keys = keys[len(chunk):]
-		ws = ws[len(chunk):]
+		s.n += w
+		c := slots[i]
+		if c != nilIdx && s.hot[c].key == k {
+			s.bump(c, s.buckets[s.hot[c].bkt].count+w)
+			continue
+		}
+		h := hashes[i]
+		if c != nilIdx || dirty {
+			if c = s.lookup(k, h); c != nilIdx {
+				s.bump(c, s.buckets[s.hot[c].bkt].count+w)
+				continue
+			}
+		}
+		s.insertOrEvict(k, h, w)
+		dirty = true
 	}
 }
 
@@ -939,9 +565,6 @@ func (s *Summary[K]) Reset() {
 	s.min = nilIdx
 	s.freeBkt = nilIdx
 	s.n = 0
-	s.lazy = false
-	s.deferred = s.deferred[:0]
-	s.defMark = s.defMark[:0]
 	for i := range s.fps {
 		s.fps[i] = 0
 	}
@@ -994,11 +617,7 @@ func (s *Summary[K]) bump(c int32, newCount uint64) {
 	}
 	s.pushCounter(b, carrier)
 	if s.buckets[old].head == nilIdx {
-		if s.lazy {
-			s.deferCoalesce(old)
-		} else {
-			s.removeBucket(old)
-		}
+		s.removeBucket(old)
 	}
 }
 
@@ -1059,7 +678,6 @@ func (s *Summary[K]) newBucket(count uint64, prev, next int32) int32 {
 		s.freeBkt = s.buckets[b].next
 	} else {
 		s.buckets = append(s.buckets, bucket{})
-		s.defMark = append(s.defMark, 0)
 		b = int32(len(s.buckets) - 1)
 	}
 	s.buckets[b] = bucket{count: count, head: nilIdx, prev: prev, next: next}
@@ -1074,10 +692,8 @@ func (s *Summary[K]) newBucket(count uint64, prev, next int32) int32 {
 	return b
 }
 
-// removeBucket unlinks an empty bucket and recycles it. Clearing the defer
-// mark keeps a pending lazy sweep from unlinking the same bucket twice.
+// removeBucket unlinks an empty bucket and recycles it.
 func (s *Summary[K]) removeBucket(b int32) {
-	s.defMark[b] = 0
 	prev, next := s.buckets[b].prev, s.buckets[b].next
 	if prev != nilIdx {
 		s.buckets[prev].next = next

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"rhhh/internal/core"
-	"rhhh/internal/resilience"
 	"rhhh/internal/fastrand"
 	"rhhh/internal/hierarchy"
+	"rhhh/internal/resilience"
 	"rhhh/internal/spacesaving"
 	"rhhh/internal/trace"
 )

@@ -550,11 +550,11 @@ type aggState[K comparable] struct {
 	// ckptGens are the last durably committed state — the delta-encoding
 	// base, advanced only by commitCheckpoint so a failed write never
 	// moves it.
-	ckptSM     core.SnapshotMerger[K]
-	ckptMerged core.EngineSnapshot[K]
-	ckptBase   core.EngineSnapshot[K]
-	ckptGens   []uint64
-	ckptCodec  core.DeltaCodec[K]
+	ckptSM      core.SnapshotMerger[K]
+	ckptMerged  core.EngineSnapshot[K]
+	ckptBase    core.EngineSnapshot[K]
+	ckptGens    []uint64
+	ckptCodec   core.DeltaCodec[K]
 	ckptHasBase bool
 
 	// qtm is the query-path telemetry block (nil when uninstrumented),
