@@ -135,7 +135,11 @@ func TestCHKSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	feedHeavy(200_000, 8, s.Update)
+	i := 0
+	feedHeavy(200_000, 8, func(src, dst netip.Addr) {
+		s.Worker(i%s.Workers()).Update(src, dst)
+		i++
+	})
 	s.Sync()
 	if s.N() != 200_000 {
 		t.Fatalf("N = %d", s.N())

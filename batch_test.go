@@ -208,118 +208,14 @@ func TestMonitorBatchSurfacesZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		s.UpdateBatch(srcs, dsts)
-		s.UpdateWeightedBatch(srcs, dsts, ws)
+		w := s.Worker(i % s.Workers())
+		w.UpdateBatch(srcs, dsts)
+		w.UpdateWeightedBatch(srcs, dsts, ws)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Worker(0).UpdateBatch(srcs, dsts) }); n != 0 {
 		t.Errorf("Worker.UpdateBatch allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Worker(0).UpdateWeightedBatch(srcs, dsts, ws) }); n != 0 {
 		t.Errorf("Worker.UpdateWeightedBatch allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { s.UpdateBatch(srcs, dsts) }); n != 0 {
-		t.Errorf("Sharded.UpdateBatch allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { s.UpdateWeightedBatch(srcs, dsts, ws) }); n != 0 {
-		t.Errorf("Sharded.UpdateWeightedBatch allocates %v/op", n)
-	}
-}
-
-// TestShardedUpdateWeightedBatchMatchesUpdate: weighted batched sharded
-// feeding must land every packet on the same shard with the same weight as
-// per-packet feeding, with identical merged results.
-func TestShardedUpdateWeightedBatchMatchesUpdate(t *testing.T) {
-	cfg := rhhh.Config{Dims: 2, Epsilon: 0.02, Delta: 0.05, Seed: 15}
-	const shards = 4
-	a, err := rhhh.NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rhhh.NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 40_000
-	r := fastrand.New(16)
-	srcs := make([]netip.Addr, n)
-	dsts := make([]netip.Addr, n)
-	ws := make([]uint64, n)
-	for i := range srcs {
-		srcs[i] = randAddr4(r)
-		dsts[i] = randAddr4(r)
-		ws[i] = r.Uint64n(16)
-	}
-	for i := range srcs {
-		a.UpdateWeighted(srcs[i], dsts[i], ws[i])
-	}
-	for i := 0; i < n; i += 1000 {
-		b.UpdateWeightedBatch(srcs[i:i+1000], dsts[i:i+1000], ws[i:i+1000])
-	}
-
-	a.Sync()
-	b.Sync()
-	if a.N() != b.N() {
-		t.Fatalf("N %d vs %d", a.N(), b.N())
-	}
-	for i := 0; i < shards; i++ {
-		if an, bn := a.Worker(i).N(), b.Worker(i).N(); an != bn {
-			t.Fatalf("shard %d: N %d vs %d — batch routing diverged", i, an, bn)
-		}
-	}
-	ha, hb := a.HeavyHitters(0.01), b.HeavyHitters(0.01)
-	if len(ha) != len(hb) {
-		t.Fatalf("result count %d vs %d", len(ha), len(hb))
-	}
-	for i := range ha {
-		if ha[i] != hb[i] {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-}
-
-// TestShardedUpdateBatchMatchesUpdate: batched sharded feeding must land
-// every packet on the same shard as per-packet feeding, with identical
-// merged results.
-func TestShardedUpdateBatchMatchesUpdate(t *testing.T) {
-	cfg := rhhh.Config{Dims: 2, Epsilon: 0.02, Delta: 0.05, Seed: 5}
-	const shards = 4
-	a, err := rhhh.NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rhhh.NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 40_000
-	r := fastrand.New(6)
-	srcs := make([]netip.Addr, n)
-	dsts := make([]netip.Addr, n)
-	for i := range srcs {
-		srcs[i] = randAddr4(r)
-		dsts[i] = randAddr4(r)
-	}
-	for i := range srcs {
-		a.Update(srcs[i], dsts[i])
-	}
-	for i := 0; i < n; i += 1000 {
-		b.UpdateBatch(srcs[i:i+1000], dsts[i:i+1000])
-	}
-
-	a.Sync()
-	b.Sync()
-	if a.N() != b.N() {
-		t.Fatalf("N %d vs %d", a.N(), b.N())
-	}
-	for i := 0; i < shards; i++ {
-		if an, bn := a.Worker(i).N(), b.Worker(i).N(); an != bn {
-			t.Fatalf("shard %d: N %d vs %d — batch routing diverged", i, an, bn)
-		}
-	}
-	ha, hb := a.HeavyHitters(0.01), b.HeavyHitters(0.01)
-	if len(ha) != len(hb) {
-		t.Fatalf("result count %d vs %d", len(ha), len(hb))
 	}
 }

@@ -408,7 +408,7 @@ func filledSharded(b *testing.B) *rhhh.Sharded {
 		dsts[i] = v4addr(p.DstIP.IPv4())
 	}
 	for i := 0; i < 40; i++ { // ~330k packets across the shards
-		s.UpdateBatch(srcs, dsts)
+		s.Worker(i%s.Workers()).UpdateBatch(srcs, dsts)
 	}
 	s.Sync()
 	return s

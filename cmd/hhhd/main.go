@@ -345,7 +345,7 @@ type feederConfig struct {
 	thin *atomic.Uint32
 }
 
-// feedBatch is the feeder's batch size: large enough to amortize the routed
+// feedBatch is the feeder's batch size: large enough to amortize the worker
 // batch path, small enough for sub-millisecond rate-control granularity.
 const feedBatch = 256
 

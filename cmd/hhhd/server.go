@@ -385,7 +385,7 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("min_delta"); v != "" {
 		md, err := strconv.ParseFloat(v, 64)
-		if err != nil || md < 0 {
+		if err != nil || !(md >= 0) {
 			http.Error(w, "min_delta must be a non-negative number", http.StatusBadRequest)
 			return
 		}

@@ -202,6 +202,19 @@ func TestWatchSSE(t *testing.T) {
 	ts := httptest.NewServer(newMux(srv))
 	t.Cleanup(ts.Close)
 
+	// A negative or NaN min_delta is refused before any stream starts; NaN
+	// would switch Updated events off, since no change compares >= NaN.
+	for _, md := range []string{"-1", "NaN"} {
+		resp, err := ts.Client().Get(ts.URL + "/watch?min_delta=" + md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("min_delta=%s answered %d, want 400", md, resp.StatusCode)
+		}
+	}
+
 	resp, err := ts.Client().Get(ts.URL + "/watch?theta=0.2&interval=10ms")
 	if err != nil {
 		t.Fatal(err)

@@ -238,8 +238,10 @@ func (s *SamplerHook) Flush() error {
 func (s *SamplerHook) Packets() uint64 { return s.packets }
 
 // Collector is the measurement-VM side: it owns the per-node HH instances
-// and reconstructs the RHHH estimator from received samples and/or whole
-// engine snapshots (see ApplySnapshot). Safe for concurrent Apply/Output.
+// and reconstructs the RHHH estimator from received samples and/or per-sender
+// engine replicas kept by the acked report protocol (see HandleMessage). A
+// sender should use either the sample stream or reports, not both — mixing
+// would double count its traffic. Safe for concurrent Apply/Output.
 type Collector struct {
 	mu     sync.Mutex
 	dom    *hierarchy.Domain[uint64]
@@ -248,14 +250,12 @@ type Collector struct {
 	v      int
 	eps    float64
 	delta  float64
-	totals map[uint16]uint64 // per-sender latest packet counts (sample mode)
+	totals map[uint16]uint64 // per-sender latest packet counts (sample stream)
 
-	// Snapshot mode: per-sender whole-state replicas (each accepted report
-	// supersedes the previous — a lost datagram delays state, it never
-	// loses samples), plus the acked-report protocol state that keeps a
-	// replica consistent under loss, reorder and sender restarts. Merged
-	// with the sample-fed instances at query time; all merge scratch is
-	// reused across queries.
+	// Reporting senders: per-sender whole-state replicas plus the acked
+	// report protocol state that keeps each replica consistent under loss,
+	// reorder and sender restarts. Merged with the sample-fed instances at
+	// query time; all merge scratch is reused across queries.
 	senders  map[uint16]*senderState
 	frags    map[uint16]*fragAssembly // lazily built 'F' reassembly buffers
 	epoch    uint32                   // collector incarnation; bumped by Restore (fail-over)
@@ -329,7 +329,7 @@ func (c *Collector) applySamplesLocked(sender uint16, total uint64, batch []Samp
 }
 
 // Packets returns the total packet count across all reporting switches,
-// sample-mode and snapshot-mode alike.
+// sample-fed and replica-backed alike.
 func (c *Collector) Packets() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -355,12 +355,13 @@ func (c *Collector) Updates() uint64 {
 }
 
 // Output answers the HHH query exactly as the co-located engine would.
-// Snapshot-mode senders are merged with the sample-fed state at query time.
+// Reporting senders' replicas are merged with the sample-fed state at query
+// time.
 //
 // The returned slice is the collector's reusable query workspace: treat it
 // as read-only, valid until the next Output call — copy it to retain or
 // reorder results. Warm queries allocate nothing, and a query with no new
-// samples or snapshot reports since the previous one short-circuits to the
+// samples or applied reports since the previous one short-circuits to the
 // retained result.
 func (c *Collector) Output(theta float64) []core.Result[uint64] {
 	if !(theta > 0 && theta <= 1) {
@@ -467,61 +468,18 @@ func (c *Collector) checkSnapshotConfig(es *core.EngineSnapshot[uint64]) error {
 	return nil
 }
 
-// ApplySnapshot records sender's whole-state snapshot, superseding any
-// previous one from the same sender (snapshots are cumulative). A stale
-// snapshot — one carrying fewer absorbed packets than the sender's recorded
-// state, as happens when datagrams arrive out of order — is dropped rather
-// than allowed to regress newer state. The snapshot must match the
-// collector's configuration. A sender should use either the sample stream or
-// snapshot reports, not both — mixing would double count its traffic.
-func (c *Collector) ApplySnapshot(sender uint16, es *core.EngineSnapshot[uint64]) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applySnapshotLocked(sender, es)
-}
-
-func (c *Collector) applySnapshotLocked(sender uint16, es *core.EngineSnapshot[uint64]) error {
-	if err := c.checkSnapshotConfig(es); err != nil {
-		return err
-	}
-	st := c.senders[sender]
-	if st == nil {
-		st = &senderState{}
-		c.senders[sender] = st
-	} else if st.snap.Packets > es.Packets {
-		st.stale++
-		c.stats.StaleReports++
-		return nil
-	}
-	st.snap = es
-	st.fulls++
-	st.lastMsg = c.stats.Messages
-	return nil
-}
-
-// ApplySnapshotMsg decodes one snapshot datagram and applies it.
-func (c *Collector) ApplySnapshotMsg(b []byte) error {
-	sender, es, err := DecodeSnapshotMsg(b)
-	if err != nil {
-		return err
-	}
-	return c.ApplySnapshot(sender, es)
-}
-
 // InProcTransport delivers batches to a Collector over a buffered channel
 // drained by a dedicated goroutine — the in-process stand-in for the
 // measurement VM.
 type InProcTransport struct {
-	ch       chan inProcMsg
-	done     chan struct{}
-	applyErr error // first snapshot-apply failure; reported by Close
+	ch   chan inProcMsg
+	done chan struct{}
 }
 
 type inProcMsg struct {
 	sender uint16
 	total  uint64
 	batch  []Sample
-	snap   []byte // encoded snapshot datagram; nil for sample batches
 }
 
 // NewInProcTransport starts the collector goroutine; depth is the channel
@@ -537,12 +495,6 @@ func NewInProcTransport(c *Collector, depth int) *InProcTransport {
 	go func() {
 		defer close(t.done)
 		for m := range t.ch {
-			if m.snap != nil {
-				if err := c.ApplySnapshotMsg(m.snap); err != nil && t.applyErr == nil {
-					t.applyErr = err
-				}
-				continue
-			}
 			c.Apply(m.sender, m.total, m.batch)
 		}
 	}()
@@ -557,35 +509,16 @@ func (t *InProcTransport) Send(sender uint16, total uint64, batch []Sample) erro
 	return nil
 }
 
-// SendSnapshot checks the datagram header, then copies and enqueues it in
-// order with any outstanding sample batches. Payload decoding happens once,
-// on the collector goroutine; apply-time failures (a malformed payload or a
-// configuration mismatch with the collector) are reported by Close.
-func (t *InProcTransport) SendSnapshot(msg []byte) error {
-	if len(msg) < snapMsgHeader {
-		return errors.New("vswitch: short snapshot message")
-	}
-	if msg[0] != snapMsgMagic || msg[1] != snapMsgVersion {
-		return errors.New("vswitch: bad snapshot magic/version")
-	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	t.ch <- inProcMsg{snap: cp}
-	return nil
-}
-
-// Close drains outstanding batches and stops the goroutine. It reports the
-// first snapshot-apply failure encountered, if any.
+// Close drains outstanding batches and stops the goroutine.
 func (t *InProcTransport) Close() error {
 	close(t.ch)
 	<-t.done
-	return t.applyErr
+	return nil
 }
 
-// UDPCollectorServer receives datagrams — sample batches, snapshot reports,
-// and the acked delta/full report protocol — on a UDP socket, applies them to
-// a Collector, and sends protocol acks back to the reporting switch's source
-// address.
+// UDPCollectorServer receives datagrams — sample batches and the acked
+// delta/full report protocol — on a UDP socket, applies them to a Collector,
+// and sends protocol acks back to the reporting switch's source address.
 type UDPCollectorServer struct {
 	conn       *net.UDPConn
 	done       <-chan struct{}
@@ -692,143 +625,5 @@ func (t *UDPTransport) Send(sender uint16, total uint64, batch []Sample) error {
 	return err
 }
 
-// maxUDPPayload is the largest UDP payload: 65535 minus the 8-byte UDP and
-// 20-byte IP headers.
-const maxUDPPayload = 65535 - 8 - 20
-
-// SendSnapshot transmits one encoded snapshot datagram. Snapshots must fit
-// a UDP datagram (~64 KiB): use a coarser ε or the sample stream otherwise.
-func (t *UDPTransport) SendSnapshot(msg []byte) error {
-	if len(msg) > maxUDPPayload {
-		return fmt.Errorf("vswitch: snapshot of %d bytes exceeds the UDP datagram limit", len(msg))
-	}
-	_, err := t.conn.Write(msg)
-	return err
-}
-
 // Close closes the socket.
 func (t *UDPTransport) Close() error { return t.conn.Close() }
-
-// Snapshot datagram format: magic 'S', version 1, uint16 sender id (big
-// endian), then the engine snapshot in its own versioned encoding. A
-// snapshot report carries the switch's whole cumulative state, so it is the
-// transport mode for lossy or high-latency links: each report supersedes
-// the previous one and a lost datagram only delays state, unlike the sample
-// stream where a lost batch is lost measurement.
-const (
-	snapMsgMagic   = 'S'
-	snapMsgVersion = 1
-	snapMsgHeader  = 2 + 2
-)
-
-// SnapshotTransport is an optional Transport extension for shipping whole
-// encoded snapshot datagrams (see EncodeSnapshotMsg). Both built-in
-// transports implement it.
-type SnapshotTransport interface {
-	SendSnapshot(msg []byte) error
-}
-
-// EncodeSnapshotMsg serializes a snapshot datagram into buf (reusing its
-// storage when large enough) and returns the encoded bytes.
-func EncodeSnapshotMsg(buf []byte, sender uint16, es *core.EngineSnapshot[uint64]) ([]byte, error) {
-	buf = buf[:0]
-	buf = append(buf, snapMsgMagic, snapMsgVersion)
-	buf = binary.BigEndian.AppendUint16(buf, sender)
-	return es.AppendBinary(buf)
-}
-
-// DecodeSnapshotMsg parses a datagram produced by EncodeSnapshotMsg,
-// validating the snapshot's structural invariants.
-func DecodeSnapshotMsg(b []byte) (sender uint16, es *core.EngineSnapshot[uint64], err error) {
-	if len(b) < snapMsgHeader {
-		return 0, nil, errors.New("vswitch: short snapshot message")
-	}
-	if b[0] != snapMsgMagic || b[1] != snapMsgVersion {
-		return 0, nil, errors.New("vswitch: bad snapshot magic/version")
-	}
-	sender = binary.BigEndian.Uint16(b[2:4])
-	es, rest, err := core.DecodeEngineSnapshot[uint64](b[snapMsgHeader:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("vswitch: %d trailing bytes after snapshot", len(rest))
-	}
-	return sender, es, nil
-}
-
-// SnapshotReporter is the switch-side half of the snapshot transport mode:
-// it runs a full local RHHH engine (like EngineHook) and periodically ships
-// the engine's whole state downstream instead of streaming per-sample
-// batches — the alternative §5.2 integration for links where datagram loss
-// or latency makes the sample stream unreliable.
-type SnapshotReporter struct {
-	*EngineHook
-	eng     *core.Engine[uint64]
-	tr      SnapshotTransport
-	sender  uint16
-	every   uint64 // packets between reports
-	next    uint64
-	buf     []byte
-	scratch core.EngineSnapshot[uint64]
-	sendErr error
-}
-
-// NewSnapshotReporter wraps an engine in a datapath hook that reports the
-// engine's snapshot to tr every `every` packets (and on Flush). every must
-// be positive.
-func NewSnapshotReporter(eng *core.Engine[uint64], tr SnapshotTransport, sender uint16, every uint64) *SnapshotReporter {
-	if every == 0 {
-		panic("vswitch: snapshot report interval must be positive")
-	}
-	return &SnapshotReporter{
-		EngineHook: NewEngineHook(eng),
-		eng:        eng,
-		tr:         tr,
-		sender:     sender,
-		every:      every,
-		next:       every,
-	}
-}
-
-// OnPacket feeds the engine and reports when the interval elapses.
-func (r *SnapshotReporter) OnPacket(p trace.Packet) {
-	r.EngineHook.OnPacket(p)
-	if r.eng.N() >= r.next {
-		r.report()
-	}
-}
-
-// OnBatch feeds the engine's batched update path and reports when the
-// interval elapses (at batch granularity).
-func (r *SnapshotReporter) OnBatch(ps []trace.Packet) {
-	r.EngineHook.OnBatch(ps)
-	if r.eng.N() >= r.next {
-		r.report()
-	}
-}
-
-func (r *SnapshotReporter) report() {
-	r.eng.SnapshotInto(&r.scratch)
-	msg, err := EncodeSnapshotMsg(r.buf, r.sender, &r.scratch)
-	if err != nil {
-		if r.sendErr == nil {
-			r.sendErr = err
-		}
-		return
-	}
-	r.buf = msg
-	if err := r.tr.SendSnapshot(msg); err != nil && r.sendErr == nil {
-		r.sendErr = err
-	}
-	for r.next <= r.eng.N() {
-		r.next += r.every
-	}
-}
-
-// Flush ships a final snapshot and reports the first transport error
-// encountered, if any.
-func (r *SnapshotReporter) Flush() error {
-	r.report()
-	return r.sendErr
-}

@@ -125,7 +125,7 @@ func (c *Collector) Senders() []SenderInfo {
 }
 
 // HandleMessage applies one datagram of any wire kind — 'R' sample batches,
-// legacy 'S' v1 snapshots, protocol 'S' v2 full reports, 'D' deltas — and
+// 'S' v2 full reports, 'D' deltas, 'F' fragments of either report — and
 // returns the ack frame to send back to the sender (nil for ack-less kinds).
 // Malformed input is returned as an error, never a panic, and counted in
 // DecodeErrors; a valid protocol report the collector cannot apply yields a
@@ -154,19 +154,7 @@ func (c *Collector) dispatchLocked(b []byte, reassembled bool) (ack []byte, err 
 		c.applySamplesLocked(sender, total, batch)
 		c.stats.SampleBatches++
 		return nil, nil
-	case b[0] == snapMsgMagic && b[1] == snapMsgVersion:
-		// Legacy fire-and-forget snapshot: no header, no ack.
-		sender, es, err := DecodeSnapshotMsg(b)
-		if err != nil {
-			c.stats.DecodeErrors++
-			return nil, err
-		}
-		if err := c.applySnapshotLocked(sender, es); err != nil {
-			c.stats.DecodeErrors++
-			return nil, err
-		}
-		return nil, nil
-	case b[0] == snapMsgMagic && b[1] == stateMsgVersion, b[0] == deltaMsgMagic:
+	case b[0] == stateMsgMagic && b[1] == stateMsgVersion, b[0] == deltaMsgMagic:
 		h, payload, err := DecodeReportMsg(b)
 		if err != nil {
 			c.stats.DecodeErrors++
@@ -184,7 +172,7 @@ func (c *Collector) dispatchLocked(b []byte, reassembled bool) (ack []byte, err 
 		return c.handleFragLocked(b)
 	default:
 		c.stats.DecodeErrors++
-		return nil, fmt.Errorf("vswitch: unknown datagram magic %q", b[0])
+		return nil, fmt.Errorf("vswitch: unknown datagram magic %q version %d", b[0], b[1])
 	}
 }
 

@@ -90,7 +90,7 @@ type ReporterStats struct {
 }
 
 // DeltaReporter is the fault-tolerant switch-side reporter: it runs a full
-// local RHHH engine (like SnapshotReporter) but ships generation-deltas —
+// local RHHH engine (like EngineHook) and ships generation-deltas —
 // only the lattice nodes whose mutation generation moved since the last
 // *acked* report, entry-coded against that acked base — falling back to full
 // state reports on startup, on collector request (nack), after too many

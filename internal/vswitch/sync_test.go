@@ -3,6 +3,7 @@ package vswitch
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,6 +30,18 @@ func snapshotBytes(t *testing.T, es *core.EngineSnapshot[uint64]) []byte {
 		t.Fatalf("AppendBinary: %v", err)
 	}
 	return b
+}
+
+// fullReport encodes es as a well-formed 'S' v2 full report from sender —
+// the frame a reporting switch sends on startup or resync.
+func fullReport(t *testing.T, sender uint16, es *core.EngineSnapshot[uint64]) []byte {
+	t.Helper()
+	h := ReportHeader{Sender: sender, Boot: 1, Seq: 1, Full: true}
+	frame, err := EncodeStateMsg(nil, &h, es)
+	if err != nil {
+		t.Fatalf("EncodeStateMsg: %v", err)
+	}
+	return frame
 }
 
 // replicaBytes returns the collector's replica for sender, serialized.
@@ -319,7 +332,8 @@ func runFaultScenario(t *testing.T, sc faultScenario, packets int) {
 
 	// Property: every replica on the surviving collector is bit-identical to
 	// the engine snapshot it mirrors, and the collector as a whole answers
-	// exactly like a loss-free reference fed the same final states.
+	// exactly like a loss-free reference fed one full report of each final
+	// state.
 	ref := NewCollector(dom, eps, del, v)
 	for _, s := range senders {
 		want := snapshotBytes(t, s.eng.Snapshot())
@@ -328,8 +342,12 @@ func runFaultScenario(t *testing.T, sc faultScenario, packets int) {
 			t.Fatalf("%s: sender %d replica differs from engine snapshot (%d vs %d bytes)",
 				sc.name, s.id, len(got), len(want))
 		}
-		if err := ref.ApplySnapshot(s.id, s.eng.Snapshot()); err != nil {
-			t.Fatalf("reference ApplySnapshot: %v", err)
+		ack, err := ref.HandleMessage(fullReport(t, s.id, s.eng.Snapshot()))
+		if err != nil {
+			t.Fatalf("reference full report: %v", err)
+		}
+		if a, err := DecodeAckMsg(ack); err != nil || a.Resync {
+			t.Fatalf("reference full report ack %+v, err %v (want plain ack)", a, err)
 		}
 	}
 	wantOut, wantN := ref.OutputInto(nil, 0.1)
@@ -520,64 +538,141 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestApplySnapshotSupersedePerSender pins the out-of-order rule for
-// fire-and-forget snapshot reports: a stale snapshot (fewer absorbed packets
-// than the recorded replica) must not regress newer state — on the direct
-// ApplySnapshot API and on the legacy 'S' v1 datagram path alike.
-func TestApplySnapshotSupersedePerSender(t *testing.T) {
+// TestCollectorMergesSnapshotAndSampleSenders: one switch streams samples,
+// another reports its engine state through the acked protocol; the union
+// query must see both contributions.
+func TestCollectorMergesSnapshotAndSampleSenders(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-	const eps, del = 0.02, 0.02
-	v := 10 * dom.Size()
-	eng := newSyncEngine(dom, eps, del, v, 11)
-	gen := trace.NewSynthetic(trace.Config{Seed: 12})
-	for i := 0; i < 10000; i++ {
-		p, _ := gen.Next()
-		eng.Update(p.Key2())
-	}
-	older := eng.Snapshot()
-	for i := 0; i < 10000; i++ {
-		p, _ := gen.Next()
-		eng.Update(p.Key2())
-	}
-	newer := eng.Snapshot()
+	col := NewCollector(dom, 0.02, 0.05, dom.Size())
+	tr := NewInProcTransport(col, 64)
 
-	col := NewCollector(dom, eps, del, v)
-	if err := col.ApplySnapshot(4, newer); err != nil {
-		t.Fatalf("ApplySnapshot(newer): %v", err)
+	sampler := NewSamplerHook(dom, dom.Size(), 21, tr, 0)
+	sampler.SetSender(1)
+	link := NewCollectorLink(col, FaultConfig{Seed: 1}, FaultConfig{Seed: 2})
+	clk := &fakeClock{t: time.Unix(1e9, 0)}
+	eng := newSyncEngine(dom, 0.02, 0.05, dom.Size(), 22)
+	rep := NewDeltaReporter(eng, link, 2, ReporterOptions{Every: 100000, Seed: 3, Boot: 4, Now: clk.Now})
+
+	// Switch 1 sees the victim-A aggregate, switch 2 the victim-B one.
+	genA := trace.NewSynthetic(trace.Config{
+		Seed: 31,
+		Aggregates: []trace.Aggregate{{
+			Fraction: 0.5, Dst: hierarchy.AddrFromIPv4(ip4(203, 0, 113, 0)), DstBits: 24, Spread: 10000,
+		}},
+	})
+	genB := trace.NewSynthetic(trace.Config{
+		Seed: 32,
+		Aggregates: []trace.Aggregate{{
+			Fraction: 0.5, Dst: hierarchy.AddrFromIPv4(ip4(198, 51, 100, 0)), DstBits: 24, Spread: 10000,
+		}},
+	})
+	const n = 300000
+	for i := 0; i < n; i++ {
+		pa, _ := genA.Next()
+		sampler.OnPacket(pa)
+		pb, _ := genB.Next()
+		rep.OnPacket(pb)
+		if i%1000 == 999 {
+			link.Pump()
+		}
 	}
-	if err := col.ApplySnapshot(4, older); err != nil {
-		t.Fatalf("ApplySnapshot(older) should drop silently, got %v", err)
+	if err := sampler.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if got := replicaBytes(t, col, 4); !bytes.Equal(got, snapshotBytes(t, newer)) {
-		t.Fatalf("stale snapshot regressed the replica")
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if col.Stats().StaleReports != 1 {
-		t.Fatalf("StaleReports = %d, want 1", col.Stats().StaleReports)
+	if err := rep.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if col.Packets() != newer.Packets {
-		t.Fatalf("Packets = %d, want %d", col.Packets(), newer.Packets)
+	for i := 0; i < 100 && !rep.Synced(); i++ {
+		link.Pump()
+		clk.Advance(10 * time.Millisecond)
+		rep.Poll()
+	}
+	if !rep.Synced() {
+		t.Fatalf("reporter never reached sync: stats %+v", rep.Stats())
+	}
+	if col.Packets() != 2*n {
+		t.Fatalf("collector N=%d, want %d", col.Packets(), 2*n)
+	}
+	out := col.Output(0.15)
+	find := func(dst uint32) bool {
+		node, _ := dom.NodeByBits(0, 24)
+		want := hierarchy.Pack2D(0, dst)
+		for _, p := range out {
+			if p.Node == node && p.Key == want {
+				return true
+			}
+		}
+		return false
+	}
+	if !find(ip4(203, 0, 113, 0)) {
+		t.Error("sampling switch's victim /24 missing from merged output")
+	}
+	if !find(ip4(198, 51, 100, 0)) {
+		t.Error("reporting switch's victim /24 missing from merged output")
+	}
+}
+
+// TestSnapshotMsgRejectsCorruptInput: an 'S' v2 full report that is
+// truncated, mislabelled, or well formed but built under another
+// configuration than the collector's must be rejected rather than folded
+// into the estimator, and so must the retired 'S' v1 datagram. Every
+// rejection returns an error and counts one decode error; the well-formed
+// mismatch is also answered with a resync ack (the sender's state is intact,
+// only unusable here), and none leaves a replica or packets behind.
+func TestSnapshotMsgRejectsCorruptInput(t *testing.T) {
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	eng := newSyncEngine(dom, 0.1, 0.1, dom.Size(), 1)
+	for i := 0; i < 1000; i++ {
+		eng.Update(uint64(i))
+	}
+	frame := fullReport(t, 3, eng.Snapshot())
+	if ack, err := NewCollector(dom, 0.1, 0.1, dom.Size()).HandleMessage(frame); err != nil || ack == nil {
+		t.Fatalf("matching collector refused the report: ack %v, err %v", ack != nil, err)
 	}
 
-	// Same via the wire: legacy v1 snapshot datagrams arriving out of order.
-	col2 := NewCollector(dom, eps, del, v)
-	newMsg, err := EncodeSnapshotMsg(nil, 4, newer)
+	reject := func(col *Collector, what string, b []byte, wantResync bool) error {
+		t.Helper()
+		before := col.DecodeErrors()
+		ack, err := col.HandleMessage(b)
+		if err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if got := col.DecodeErrors(); got != before+1 {
+			t.Fatalf("%s: DecodeErrors %d → %d, want +1", what, before, got)
+		}
+		if !wantResync {
+			if ack != nil {
+				t.Fatalf("%s: acked a frame that never decoded", what)
+			}
+		} else if a, err := DecodeAckMsg(ack); err != nil || !a.Resync || a.Sender != 3 || a.Seq != 1 {
+			t.Fatalf("%s: ack %+v, err %v (want a resync request to sender 3)", what, a, err)
+		}
+		if len(col.Senders()) != 0 || col.Packets() != 0 {
+			t.Fatalf("%s left state behind: senders %+v, packets %d", what, col.Senders(), col.Packets())
+		}
+		return err
+	}
+	col := NewCollector(dom, 0.1, 0.1, dom.Size())
+	for _, cut := range []int{0, 1, 3, reportHeaderLen, len(frame) / 2, len(frame) - 1} {
+		reject(col, "a truncation", frame[:cut], false)
+	}
+	bad := append([]byte(nil), frame...)
+	bad[0] = 'X'
+	reject(col, "bad magic", bad, false)
+	reject(NewCollector(dom, 0.1, 0.1, 10*dom.Size()), "mismatched V", frame, true)
+	reject(NewCollector(dom, 0.05, 0.1, dom.Size()), "mismatched ε", frame, true)
+
+	// A switch still sending the fire-and-forget 'S' v1 datagram — version
+	// 1, a u16 sender id and a bare engine snapshot, with no report header,
+	// checksum or ack — is refused by an error naming both bytes.
+	v1, err := eng.Snapshot().AppendBinary([]byte{'S', 1, 0, 3})
 	if err != nil {
-		t.Fatalf("EncodeSnapshotMsg: %v", err)
+		t.Fatalf("AppendBinary: %v", err)
 	}
-	oldMsg, err := EncodeSnapshotMsg(nil, 4, older)
-	if err != nil {
-		t.Fatalf("EncodeSnapshotMsg: %v", err)
-	}
-	if _, err := col2.HandleMessage(newMsg); err != nil {
-		t.Fatalf("HandleMessage(newer): %v", err)
-	}
-	if _, err := col2.HandleMessage(oldMsg); err != nil {
-		t.Fatalf("HandleMessage(older): %v", err)
-	}
-	if got := replicaBytes(t, col2, 4); !bytes.Equal(got, snapshotBytes(t, newer)) {
-		t.Fatalf("stale v1 snapshot datagram regressed the replica")
-	}
-	if col2.Stats().StaleReports != 1 {
-		t.Fatalf("StaleReports = %d, want 1", col2.Stats().StaleReports)
+	if err := reject(col, "an 'S' v1 datagram", v1, false); !strings.Contains(err.Error(), "'S' version 1") {
+		t.Fatalf("error %q does not name the magic and version byte", err)
 	}
 }

@@ -96,6 +96,10 @@ func (t *UDPReportTransport) readAcks(conn *net.UDPConn) {
 	}
 }
 
+// maxUDPPayload is the largest UDP payload: 65535 minus the 8-byte UDP and
+// 20-byte IP headers.
+const maxUDPPayload = 65535 - 8 - 20
+
 // SendReport implements ReportTransport. A report larger than one UDP
 // datagram is split into 'F' fragment datagrams the collector reassembles;
 // a send error reconnects once and retries (the report protocol retransmits

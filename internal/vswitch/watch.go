@@ -38,22 +38,22 @@ func (w *CollectorWatch) Close() {
 }
 
 // Watch registers a standing HHH query on the collector: every interval a
-// driver goroutine evaluates Output(theta) — sample-fed and snapshot-mode
-// senders alike — and delivers the delta against the previous tick to fn.
+// driver goroutine evaluates Output(theta) — sample-fed and reporting senders
+// alike — and delivers the delta against the previous tick to fn.
 // Updated events are gated by the minDelta count-change hysteresis (stream
 // units; membership changes always fire). fn runs on the driver goroutine
-// and must not block; an idle interval (no new samples or snapshot reports)
+// and must not block; an idle interval (no new samples or applied reports)
 // costs one short-circuited query and delivers nothing. interval defaults to
 // 100ms when non-positive.
 //
 // The distributed deployments get the same event stream as the co-located
-// surfaces this way: switches keep streaming samples or snapshots, and the
+// surfaces this way: switches keep streaming samples or reports, and the
 // measurement VM pushes HHH deltas instead of being polled.
 func (c *Collector) Watch(theta, minDelta float64, interval time.Duration, fn func(CollectorDelta)) *CollectorWatch {
 	if !(theta > 0 && theta <= 1) {
 		panic("vswitch: theta must be in (0, 1]")
 	}
-	if minDelta < 0 {
+	if !(minDelta >= 0) {
 		panic("vswitch: minDelta must be non-negative")
 	}
 	if fn == nil {

@@ -1,6 +1,7 @@
 package vswitch
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -91,5 +92,23 @@ func TestCollectorWatch(t *testing.T) {
 		if got, ok := replay[ident{r.Node, r.Key}]; !ok || got != r {
 			t.Fatalf("replay mismatch at node %d: %+v vs %+v", r.Node, got, r)
 		}
+	}
+}
+
+// TestCollectorWatchRejectsBadMinDelta: a negative or NaN hysteresis panics
+// like the other argument errors instead of silently disabling Updated
+// events (no estimate change compares >= NaN).
+func TestCollectorWatchRejectsBadMinDelta(t *testing.T) {
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	col := NewCollector(dom, 0.02, 0.05, dom.Size())
+	for _, md := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Watch accepted minDelta %v", md)
+				}
+			}()
+			col.Watch(0.2, md, time.Millisecond, func(CollectorDelta) {}).Close()
+		}()
 	}
 }

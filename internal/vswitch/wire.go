@@ -14,8 +14,7 @@ import (
 //
 //	'D' v1  delta report: only the lattice nodes whose mutation generation
 //	        moved since the last acked report, entry-delta-coded against it.
-//	'S' v2  full state report (resync): the whole engine snapshot. Unlike the
-//	        fire-and-forget 'S' v1 it carries the protocol header and a CRC.
+//	'S' v2  full state report (resync): the whole engine snapshot.
 //	'A' v1  ack, collector → switch.
 //
 // Report header ('D' and 'S' v2), big endian:
@@ -38,7 +37,8 @@ import (
 const (
 	deltaMsgMagic   = 'D'
 	deltaMsgVersion = 1
-	stateMsgVersion = 2 // 'S' frames: snapMsgVersion is the legacy v1
+	stateMsgMagic   = 'S'
+	stateMsgVersion = 2
 	ackMsgMagic     = 'A'
 	ackMsgVersion   = 1
 
@@ -97,7 +97,7 @@ func appendReportHeader(buf []byte, magic, version byte, h *ReportHeader) []byte
 // EncodeStateMsg serializes a full-state ('S' v2) report into buf (reusing
 // its storage) and returns the encoded frame.
 func EncodeStateMsg(buf []byte, h *ReportHeader, es *core.EngineSnapshot[uint64]) ([]byte, error) {
-	buf = appendReportHeader(buf[:0], snapMsgMagic, stateMsgVersion, h)
+	buf = appendReportHeader(buf[:0], stateMsgMagic, stateMsgVersion, h)
 	buf, err := es.AppendBinary(buf)
 	if err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func DecodeReportMsg(b []byte) (h ReportHeader, payload []byte, err error) {
 	switch {
 	case body[0] == deltaMsgMagic && body[1] == deltaMsgVersion:
 		h.Full = false
-	case body[0] == snapMsgMagic && body[1] == stateMsgVersion:
+	case body[0] == stateMsgMagic && body[1] == stateMsgVersion:
 		h.Full = true
 	default:
 		return h, nil, fmt.Errorf("vswitch: bad report magic/version %q/%d", body[0], body[1])
@@ -194,7 +194,7 @@ func appendFragments(frames [][]byte, frame []byte, maxSize int) ([][]byte, erro
 	}
 	switch {
 	case frame[0] == deltaMsgMagic && frame[1] == deltaMsgVersion:
-	case frame[0] == snapMsgMagic && frame[1] == stateMsgVersion:
+	case frame[0] == stateMsgMagic && frame[1] == stateMsgVersion:
 	default:
 		return nil, fmt.Errorf("vswitch: fragmenting a non-report frame %q/%d", frame[0], frame[1])
 	}

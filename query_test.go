@@ -25,7 +25,7 @@ func fillSharded(s *rhhh.Sharded, packets int) {
 		default:
 			src, dst = addr4(byte(next()%256), byte(next()%256), 0, 1), addr4(byte(next()%256), 0, 0, 2)
 		}
-		s.Update(src, dst)
+		s.Worker(i%s.Workers()).Update(src, dst)
 	}
 	s.Sync() // publish every worker's tail so queries see the whole fill
 }

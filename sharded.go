@@ -48,16 +48,6 @@ type Sharded struct {
 	aggMu sync.Mutex
 	agg   shardAgg
 
-	// routerBusy guards the routed convenience entry points (Update,
-	// UpdateBatch, ... on Sharded itself), whose routing scratch and worker
-	// cadence state are single-goroutine: a second concurrent router is
-	// detected and rejected instead of corrupting worker state.
-	routerBusy atomic.Int32
-
-	// Routing scratch for the batched convenience entry points.
-	srcBuf, dstBuf [][]netip.Addr
-	wBuf           [][]uint64
-
 	// Standing-query driver state (see Watch): the hub holds subscriptions,
 	// the supervised goroutine behind watchDone ticks it on the capture
 	// interval. resPolicy supervises the driver (nil = resilience.Default).
@@ -438,13 +428,10 @@ func (s *Sharded) Worker(i int) *Worker { return s.workers[i] }
 
 // Sync publishes every worker's current state. Because Sync on a worker is an
 // owner-goroutine operation, Sharded.Sync is safe only when the caller owns
-// all workers (the routed single-goroutine mode) or every producer is
-// quiescent with a happens-before edge to the caller (e.g. after
-// sync.WaitGroup.Wait). Producers that keep running should call their own
-// Worker.Sync instead.
+// all workers or every producer is quiescent with a happens-before edge to
+// the caller (e.g. after sync.WaitGroup.Wait). Producers that keep running
+// should call their own Worker.Sync instead.
 func (s *Sharded) Sync() {
-	s.routeEnter()
-	defer s.routeExit()
 	for _, w := range s.workers {
 		w.Sync()
 	}
@@ -845,144 +832,4 @@ func (s *Sharded) Close() error {
 		s.hub.closeHub()
 	}
 	return nil
-}
-
-// routeEnter claims the routed single-goroutine surface (Update, UpdateBatch,
-// UpdateWeighted, UpdateWeightedBatch and Sync on Sharded itself). The
-// routing scratch and worker cadence state behind those entry points are
-// deliberately unsynchronized, so a second concurrent router is a data race:
-// it is detected here and rejected loudly instead of corrupting state.
-func (s *Sharded) routeEnter() {
-	if !s.routerBusy.CompareAndSwap(0, 1) {
-		panic("rhhh: concurrent routed update on Sharded — the routed entry points are single-goroutine; give each producing goroutine its own Worker")
-	}
-}
-
-func (s *Sharded) routeExit() { s.routerBusy.Store(0) }
-
-// Update is a convenience for single-goroutine use: it routes the packet to a
-// worker by address hash. Concurrent producers should call Worker(i).Update
-// directly instead; concurrent routed calls panic.
-func (s *Sharded) Update(src, dst netip.Addr) {
-	s.routeEnter()
-	defer s.routeExit()
-	h := hashAddrPair(src, dst)
-	s.workers[h%uint64(len(s.workers))].Update(src, dst)
-}
-
-// UpdateWeighted is a convenience for single-goroutine use: it routes the
-// weighted packet to a worker by address hash. Concurrent producers should
-// call Worker(i).UpdateWeighted directly instead; concurrent routed calls
-// panic.
-func (s *Sharded) UpdateWeighted(src, dst netip.Addr, w uint64) {
-	s.routeEnter()
-	defer s.routeExit()
-	h := hashAddrPair(src, dst)
-	s.workers[h%uint64(len(s.workers))].UpdateWeighted(src, dst, w)
-}
-
-// UpdateBatch routes a batch of packets to their workers and feeds each
-// worker its sub-batch in one call, preserving per-worker arrival order. For
-// one-dimensional monitors pass dsts == nil. Single-goroutine use, like
-// Update: concurrent producers should call Worker(i).UpdateBatch directly;
-// concurrent routed calls panic.
-func (s *Sharded) UpdateBatch(srcs, dsts []netip.Addr) {
-	if dsts == nil {
-		if s.cfg.Dims == 2 {
-			panic("rhhh: UpdateBatch needs dsts on a two-dimensional monitor")
-		}
-	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateBatch srcs/dsts length mismatch")
-	}
-	s.routeEnter()
-	defer s.routeExit()
-	if s.srcBuf == nil {
-		s.srcBuf = make([][]netip.Addr, len(s.workers))
-		s.dstBuf = make([][]netip.Addr, len(s.workers))
-	}
-	for i := range s.srcBuf {
-		s.srcBuf[i] = s.srcBuf[i][:0]
-		s.dstBuf[i] = s.dstBuf[i][:0]
-	}
-	for i, src := range srcs {
-		var dst netip.Addr
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		shard := hashAddrPair(src, dst) % uint64(len(s.workers))
-		s.srcBuf[shard] = append(s.srcBuf[shard], src)
-		s.dstBuf[shard] = append(s.dstBuf[shard], dst)
-	}
-	for i, w := range s.workers {
-		if len(s.srcBuf[i]) != 0 {
-			w.UpdateBatch(s.srcBuf[i], s.dstBuf[i])
-		}
-	}
-}
-
-// UpdateWeightedBatch routes a batch of weighted packets to their workers and
-// feeds each worker its sub-batch in one call, preserving per-worker arrival
-// order. For one-dimensional monitors pass dsts == nil; ws must be the same
-// length as srcs. Single-goroutine use, like UpdateBatch; concurrent routed
-// calls panic.
-func (s *Sharded) UpdateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
-	if dsts == nil {
-		if s.cfg.Dims == 2 {
-			panic("rhhh: UpdateWeightedBatch needs dsts on a two-dimensional monitor")
-		}
-	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateWeightedBatch srcs/dsts length mismatch")
-	}
-	if len(ws) != len(srcs) {
-		panic("rhhh: UpdateWeightedBatch srcs/weights length mismatch")
-	}
-	s.routeEnter()
-	defer s.routeExit()
-	if s.srcBuf == nil {
-		s.srcBuf = make([][]netip.Addr, len(s.workers))
-		s.dstBuf = make([][]netip.Addr, len(s.workers))
-	}
-	if s.wBuf == nil {
-		s.wBuf = make([][]uint64, len(s.workers))
-	}
-	for i := range s.srcBuf {
-		s.srcBuf[i] = s.srcBuf[i][:0]
-		s.dstBuf[i] = s.dstBuf[i][:0]
-		s.wBuf[i] = s.wBuf[i][:0]
-	}
-	for i, src := range srcs {
-		var dst netip.Addr
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		shard := hashAddrPair(src, dst) % uint64(len(s.workers))
-		s.srcBuf[shard] = append(s.srcBuf[shard], src)
-		s.dstBuf[shard] = append(s.dstBuf[shard], dst)
-		s.wBuf[shard] = append(s.wBuf[shard], ws[i])
-	}
-	for i, w := range s.workers {
-		if len(s.srcBuf[i]) != 0 {
-			w.UpdateWeightedBatch(s.srcBuf[i], s.dstBuf[i], s.wBuf[i])
-		}
-	}
-}
-
-func hashAddrPair(src, dst netip.Addr) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	a := src.As16()
-	b := dst.As16()
-	var h uint64 = 0x9e3779b97f4a7c15
-	for i := 0; i < 16; i += 8 {
-		h = mix(h ^ beUint64(a[i:]) ^ mix(beUint64(b[i:])))
-	}
-	return h
-}
-
-func beUint64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }

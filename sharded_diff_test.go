@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +15,8 @@ import (
 // White-box differential and concurrency tests for the shared-nothing
 // publication path: the lock-free Worker/epoch machinery is pinned against
 // the preserved mutex reference (sharded_locked_test.go) over random
-// update/publish/query interleavings, the bounded-staleness contract is
-// tested exactly, and the routed-entry-point concurrency guard is exercised.
+// update/publish/query interleavings, and the bounded-staleness contract is
+// tested exactly.
 
 func diffAddr4(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
 
@@ -331,77 +330,6 @@ func TestShardedEpochVersioning(t *testing.T) {
 			t.Fatalf("idle Sync bumped epoch to %d", got)
 		}
 	}
-}
-
-// TestShardedRoutedConcurrencyGuard: the routed convenience entry points
-// share routing scratch and worker cadence state, so a second concurrent
-// router must be rejected loudly (satellite: srcBuf/dstBuf/wBuf were
-// documented single-goroutine but unguarded).
-func TestShardedRoutedConcurrencyGuard(t *testing.T) {
-	s, err := NewSharded(Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 84}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := []netip.Addr{diffAddr4(1, 2, 3, 4), diffAddr4(5, 6, 7, 8)}
-	dsts := []netip.Addr{diffAddr4(9, 9, 9, 9), diffAddr4(8, 8, 8, 8)}
-
-	// Deterministic: with the router claimed, every routed entry point must
-	// panic rather than touch the scratch concurrently.
-	s.routeEnter()
-	for name, call := range map[string]func(){
-		"Update":              func() { s.Update(srcs[0], dsts[0]) },
-		"UpdateWeighted":      func() { s.UpdateWeighted(srcs[0], dsts[0], 2) },
-		"UpdateBatch":         func() { s.UpdateBatch(srcs, dsts) },
-		"UpdateWeightedBatch": func() { s.UpdateWeightedBatch(srcs, dsts, []uint64{1, 2}) },
-		"Sync":                func() { s.Sync() },
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s did not panic while another routed call was in flight", name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrent routed update") {
-					t.Fatalf("%s panicked with %v", name, r)
-				}
-			}()
-			call()
-		}()
-	}
-	s.routeExit()
-
-	// And the single-goroutine sequence keeps working after rejections.
-	s.UpdateBatch(srcs, dsts)
-	s.Sync()
-	if s.N() != 2 {
-		t.Fatalf("N = %d after guard exercise", s.N())
-	}
-
-	// Two racing routers: the CAS gate admits one at a time; the loser
-	// panics before touching scratch, so no corruption — run under -race.
-	var wg sync.WaitGroup
-	panics := 0
-	var mu sync.Mutex
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				func() {
-					defer func() {
-						if recover() != nil {
-							mu.Lock()
-							panics++
-							mu.Unlock()
-						}
-					}()
-					s.UpdateBatch(srcs, dsts)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	t.Logf("concurrent routed batches rejected: %d", panics)
 }
 
 // TestShardedQuerySideZeroAllocAcrossEpochs is the strong form of the warm

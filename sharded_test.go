@@ -59,53 +59,6 @@ func TestShardedConcurrentUpdatesFindAggregates(t *testing.T) {
 	}
 }
 
-func TestShardedHashRouting(t *testing.T) {
-	s, err := rhhh.NewSharded(rhhh.Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	const n = 30000
-	for i := 0; i < n; i++ {
-		s.Update(
-			addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))),
-			addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))),
-		)
-	}
-	s.Sync()
-	if s.N() != n {
-		t.Fatalf("N = %d", s.N())
-	}
-	// The hash must spread load roughly evenly.
-	for i := 0; i < s.Workers(); i++ {
-		share := float64(s.Worker(i).N()) / n
-		if share < 0.2 || share > 0.5 {
-			t.Errorf("shard %d got %.1f%% of traffic", i, share*100)
-		}
-	}
-	// Same flow always routes to the same shard (flow affinity).
-	before := make([]uint64, s.Workers())
-	for i := range before {
-		before[i] = s.Worker(i).N()
-	}
-	src, dst := addr4(1, 2, 3, 4), addr4(5, 6, 7, 8)
-	for i := 0; i < 100; i++ {
-		s.Update(src, dst)
-	}
-	moved := 0
-	for i := range before {
-		if d := s.Worker(i).N() - before[i]; d > 0 {
-			moved++
-			if d != 100 {
-				t.Errorf("shard %d got %d of the flow's 100 packets", i, d)
-			}
-		}
-	}
-	if moved != 1 {
-		t.Errorf("flow spread across %d shards", moved)
-	}
-}
-
 func TestShardedValidation(t *testing.T) {
 	if _, err := rhhh.NewSharded(rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}, 0); err == nil {
 		t.Error("zero shards accepted")

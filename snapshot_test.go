@@ -245,7 +245,7 @@ func TestShardedSnapshotMatchesHeavyHitters(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 120000; i++ {
-		s.Update(
+		s.Worker(i%s.Workers()).Update(
 			addr4(byte(rng.Intn(8)), 1, 1, byte(rng.Intn(256))),
 			addr4(2, 2, byte(rng.Intn(8)), byte(rng.Intn(256))),
 		)

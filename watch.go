@@ -221,7 +221,7 @@ func (h *watchHub[K]) normalize(o *WatchOptions) error {
 	case o.AutoThetaK > 0 && o.Theta != 0:
 		return errors.New("rhhh: set either WatchOptions.Theta or AutoThetaK, not both")
 	}
-	if o.MinDelta < 0 {
+	if !(o.MinDelta >= 0) {
 		return errors.New("rhhh: WatchOptions.MinDelta must be non-negative")
 	}
 	if o.Interval < 0 {

@@ -1,6 +1,7 @@
 package rhhh_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"sync"
@@ -151,7 +152,7 @@ func TestWatchDeltaReplaySharded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 7))
 	for step := 0; step < 20; step++ {
 		for n := 200 + rng.IntN(800); n > 0; n-- {
-			s.Update(watchAddr(rng), watchAddr(rng))
+			s.Worker(n%s.Workers()).Update(watchAddr(rng), watchAddr(rng))
 		}
 		s.Sync() // publish so the tick and the query see this burst
 		s.TickWatch()
@@ -394,6 +395,7 @@ func TestWatchOptionValidation(t *testing.T) {
 		{Theta: 0.1, AutoThetaK: 3}, // both set
 		{AutoThetaK: -1},            // negative k
 		{Theta: 0.1, MinDelta: -1},  // negative hysteresis
+		{Theta: 0.1, MinDelta: math.NaN()},
 		{Theta: 0.1, Interval: -time.Second},
 		{Theta: 0.1, DstFilter: netip.MustParsePrefix("10.0.0.0/8")},    // 1D
 		{Theta: 0.1, SrcFilter: netip.MustParsePrefix("2001:db8::/32")}, // family
