@@ -142,6 +142,62 @@ func BenchmarkFig5UpdateSpeed(b *testing.B) {
 	})
 }
 
+// BenchmarkWorkerUpdateBatch times the public ingest path hhhd and
+// perfbench drive: one Worker fed 256-packet netip batches from a
+// 2¹⁸-packet chicago16 ring (2D bytes, ε = δ = 0.001), with the counters
+// warmed by eight ring passes before the timer starts. ns/op is per packet.
+// DefaultCadence (V = 10·H) publishes every 16,384 packets, as deployed;
+// NoPublish pushes publication out of the run, leaving the family check,
+// sampling, key conversion and the counter kernel. Their difference is the
+// amortized publication cost. VeqH runs the default configuration (V = H,
+// every packet sampled) and VeqH-R2 adds R = 2 (two samples per packet),
+// both at the default cadence.
+func BenchmarkWorkerUpdateBatch(b *testing.B) {
+	const ringSize, batch = 1 << 18, 256
+	gen := trace.NewSynthetic(trace.Profile("chicago16"))
+	srcs := make([]netip.Addr, ringSize)
+	dsts := make([]netip.Addr, ringSize)
+	for i := range srcs {
+		p, _ := gen.Next()
+		srcs[i] = v4addr(p.SrcIP.IPv4())
+		dsts[i] = v4addr(p.DstIP.IPv4())
+	}
+	cfg := rhhh.Config{Dims: 2, Epsilon: 0.001, Delta: 0.001, Seed: 1}
+	h := rhhh.MustNew(cfg).H()
+	for _, c := range []struct {
+		name string
+		v, r int
+		opts rhhh.ShardedOptions
+	}{
+		{"DefaultCadence", 10 * h, 1, rhhh.ShardedOptions{}},
+		{"NoPublish", 10 * h, 1, rhhh.ShardedOptions{PublishPackets: 1 << 62, PublishBatches: 1 << 30}},
+		{"VeqH", h, 1, rhhh.ShardedOptions{}},
+		{"VeqH-R2", h, 2, rhhh.ShardedOptions{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := cfg
+			cfg.V, cfg.R = c.v, c.r
+			s, err := rhhh.NewShardedOptions(cfg, 1, c.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := s.Worker(0)
+			for range 8 {
+				for off := 0; off < ringSize; off += batch {
+					w.UpdateBatch(srcs[off:off+batch], dsts[off:off+batch])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			off := 0
+			for i := 0; i < b.N; i += batch {
+				w.UpdateBatch(srcs[off:off+batch], dsts[off:off+batch])
+				off = (off + batch) % ringSize
+			}
+		})
+	}
+}
+
 // sweepBench runs a scaled error sweep once per iteration and reports the
 // final RHHH metric.
 func sweepBench(b *testing.B, metric func(experiments.SweepConfig) float64) {

@@ -92,7 +92,7 @@ var metricCatalogue = []catalogueEntry{
 	{"rhhh_watch_drops_total", "counter", "watch", "Watch deltas dropped on full subscriber buffers."},
 	{"rhhh_watch_subscriptions", "gauge", "watch", "Live watch subscriptions."},
 	{"rhhh_watch_differ_entries", "gauge", "watch", "Tracked entries across subscription differs."},
-	{"rhhh_watch_tick_seconds", "histogram", "watch", "Wall time of a standing-query tick."},
+	{"rhhh_watch_tick_seconds", "histogram", "watch", "Wall time of a standing-query tick's capture, extraction and diff."},
 	{"hhhd_uptime_seconds", "gauge", "daemon", "Seconds since the daemon started."},
 	{"hhhd_published_packets", "gauge", "daemon", "Combined published stream weight (N)."},
 	{"hhhd_converged", "gauge", "daemon", "Whether the published N passed the psi convergence bound."},

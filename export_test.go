@@ -11,3 +11,6 @@ func (s *Sharded) TickWatch() {
 		hub.tick()
 	}
 }
+
+// WindowN returns the stream weight the in-progress window has absorbed.
+func (w *Windowed) WindowN() uint64 { return w.current.N() }

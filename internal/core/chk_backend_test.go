@@ -251,7 +251,7 @@ func TestCHKEngineResetReseed(t *testing.T) {
 }
 
 // TestUpdateBatchInterfaceBackends: the Heap and Count-Min backends have no
-// concrete batch kernel — applyGrouped degrades to per-sample interface
+// concrete batch kernel — ApplyBatch degrades to per-sample interface
 // dispatch — but the batched entry points must still produce exactly the
 // state the sequential path does, for unit and weighted batches alike.
 func TestUpdateBatchInterfaceBackends(t *testing.T) {

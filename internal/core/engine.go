@@ -91,23 +91,25 @@ type Engine[K comparable] struct {
 	nextSample uint64
 	geo        *fastrand.GeometricSampler
 
-	// UpdateBatch scratch: a batch's sampled (node, masked key[, weight])
-	// tuples are collected and applied node-grouped at the end of the call,
-	// touching each node's counter store once per batch instead of once per
-	// sample. Update itself applies samples immediately — every single call
-	// stays O(1) worst case, the paper's headline property.
-	batchNode []int32  // node draw per sampled packet, in sample order
-	batchKey  []K      // masked key per sampled packet
-	batchW    []uint64 // weight per sampled packet (weighted batches only)
-	grpKey    []K      // scratch: masked keys regrouped by node
-	grpNode   []int32  // scratch: node per grouped sample
-	grpW      []uint64 // scratch: weights regrouped by node
-	grpOff    []int32  // scratch: per-node group boundaries
-	// planSlot/planHash hold one resolve window's plan (see applyGrouped).
+	// Batch state (see SampleBatch and ApplyBatch): the batch positions the
+	// sampler picked and their node draws, in sample order, plus the length
+	// of the batch awaiting its apply step (-1 when none is). The apply step
+	// regroups the masked keys by node, touching each node's counter store
+	// once per batch instead of once per sample. Update itself applies
+	// samples immediately — every single call stays O(1) worst case, the
+	// paper's headline property.
+	smpPos  []int32 // batch position per sample, in sample order
+	smpNode []int32 // node draw per sample
+	smpN    int
+	grpKey  []K      // scratch: masked keys regrouped by node
+	grpNode []int32  // scratch: node per grouped sample
+	grpW    []uint64 // scratch: weights regrouped by node
+	grpOff  []int32  // scratch: per-node group boundaries
+	// planSlot/planHash hold one resolve window's plan (see ApplyBatch).
 	planSlot [spacesaving.BatchChunk]int32
 	planHash [spacesaving.BatchChunk]uint32
 	// directApply short-circuits the resolve/apply kernel when the whole
-	// counter state is small enough to live in cache (see applyGrouped):
+	// counter state is small enough to live in cache (see ApplyBatch):
 	// with nothing stalling, the planning pass is pure overhead.
 	directApply bool
 
@@ -183,6 +185,7 @@ func NewWithInstances[K comparable](dom *hierarchy.Domain[K], cfg Config, inst [
 		delta:   cfg.Delta,
 		z:       stats.Z(cfg.Delta),
 		psi:     stats.Z(deltaS/2) * float64(v) / (cfg.Epsilon * cfg.Epsilon) / float64(r),
+		smpN:    -1,
 	}
 	// Devirtualize the backend when every node runs the stream-summary
 	// Space Saving instance (the default and the paper's configuration), or
@@ -366,99 +369,93 @@ func (e *Engine[K]) UpdateWeighted(k K, w uint64) {
 
 // UpdateBatch processes a slice of packets in one call — semantically
 // identical to calling Update on each key in order (same RNG consumption,
-// same state). With V > H the skip sampler fast-forwards over runs of
-// non-sampled packets; at V = H (and for r > 1) the per-packet draws are
-// taken in order up front. Either way the batch's samples are applied
-// node-grouped through the pipelined two-phase kernel (see applyGrouped) so
-// each node's counter store is touched in one cache-friendly burst and
-// independent loads stay in flight across node boundaries. Per-batch work is
-// O(len(keys)) counter arithmetic plus O(samples) instance updates.
+// same state): SampleBatch picks the packets that update a node, and
+// ApplyBatch masks their keys and applies them node-grouped. Per-batch work
+// is O(samples) with the skip sampler (V > H), O(len(keys)) draws otherwise,
+// plus O(samples) instance updates.
 func (e *Engine[K]) UpdateBatch(keys []K) {
-	e.batchNode = e.batchNode[:0]
-	e.batchKey = e.batchKey[:0]
-	if !e.useSkip {
-		// Per-draw sampling, exactly as the sequential path consumes it.
-		e.packets += uint64(len(keys))
-		for _, k := range keys {
-			for j := 0; j < e.r; j++ {
-				if d := e.rng.Uint64n(e.v); d < e.h {
-					node := int32(d)
-					e.batchNode = append(e.batchNode, node)
-					e.batchKey = append(e.batchKey, e.mask(k, int(node)))
-				}
-			}
-		}
-		e.applyGrouped(false)
-		return
-	}
-	base := e.packets
-	e.packets += uint64(len(keys))
-	for e.nextSample <= e.packets {
-		k := keys[e.nextSample-base-1]
-		// Draw node then gap, exactly as the per-packet path would.
-		node := int32(e.rng.Uint64n(e.h))
-		e.batchNode = append(e.batchNode, node)
-		e.batchKey = append(e.batchKey, e.mask(k, int(node)))
-		e.nextSample += 1 + e.geo.Next(e.rng)
-	}
-	e.applyGrouped(false)
+	e.SampleBatch(len(keys))
+	e.ApplyBatch(keys, nil)
 }
 
 // UpdateWeightedBatch processes a slice of packets carrying weights in one
 // call — semantically identical to calling UpdateWeighted on each pair in
 // order (same RNG consumption, same state). len(ws) must equal len(keys).
-// Samples are applied node-grouped through the same pipelined kernel as
-// UpdateBatch, with each sampled node receiving its packet's full weight.
+// Each sampled node receives its packet's full weight.
 func (e *Engine[K]) UpdateWeightedBatch(keys []K, ws []uint64) {
 	if len(ws) != len(keys) {
 		panic("core: UpdateWeightedBatch keys/weights length mismatch")
 	}
-	e.batchNode = e.batchNode[:0]
-	e.batchKey = e.batchKey[:0]
-	e.batchW = e.batchW[:0]
-	if !e.useSkip {
-		for i, k := range keys {
-			e.packets++
-			e.extraW += int64(ws[i]) - 1
-			for j := 0; j < e.r; j++ {
-				if d := e.rng.Uint64n(e.v); d < e.h {
-					node := int32(d)
-					e.batchNode = append(e.batchNode, node)
-					e.batchKey = append(e.batchKey, e.mask(k, int(node)))
-					e.batchW = append(e.batchW, ws[i])
-				}
+	e.SampleBatch(len(keys))
+	e.ApplyBatch(keys, ws)
+}
+
+// UsesSkipSampling reports whether the engine runs the geometric skip
+// sampler (V > H and r == 1): then SampleBatch picks about n·H/V positions
+// in increasing order, and a batch caller gains by preparing only those
+// packets. Otherwise every packet takes r per-draw decisions.
+func (e *Engine[K]) UsesSkipSampling() bool { return e.useSkip }
+
+// SampleBatch advances the stream by n packets and returns the batch
+// positions (0 ≤ p < n) whose packets update a lattice node, in order — the
+// engine's one sampling loop. It consumes the RNG exactly as n Update calls
+// would: with V > H (and r == 1) the skip sampler draws a node and then the
+// gap to the next sample, so unsampled packets cost nothing; at V = H or
+// with r > 1 every packet takes r per-draw decisions, and a position
+// repeats once per hit. The slice is engine scratch, valid until the next
+// SampleBatch. ApplyBatch must complete the batch before any other update.
+func (e *Engine[K]) SampleBatch(n int) []int32 {
+	e.smpPos, e.smpNode = e.smpPos[:0], e.smpNode[:0]
+	e.smpN = n
+	base := e.packets
+	e.packets += uint64(n)
+	if e.useSkip {
+		for e.nextSample <= e.packets {
+			// Draw node then gap, exactly as the per-packet path would.
+			e.smpPos = append(e.smpPos, int32(e.nextSample-base-1))
+			e.smpNode = append(e.smpNode, int32(e.rng.Uint64n(e.h)))
+			e.nextSample += 1 + e.geo.Next(e.rng)
+		}
+		return e.smpPos
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < e.r; j++ {
+			if d := e.rng.Uint64n(e.v); d < e.h {
+				e.smpPos = append(e.smpPos, int32(i))
+				e.smpNode = append(e.smpNode, int32(d))
 			}
 		}
-		e.applyGrouped(true)
-		return
 	}
-	base := e.packets
-	e.packets += uint64(len(keys))
+	return e.smpPos
+}
+
+// ApplyBatch completes the batch SampleBatch started: it masks the key at
+// each sampled position with that sample's node and applies the samples
+// node-grouped. keys, and ws for a weighted batch, are indexed by batch
+// position and must have the batch's length; only the sampled positions of
+// keys are read, so a caller may fill just those. A nil ws means unit
+// weights; otherwise every packet's weight counts toward the stream weight
+// and each sampled node receives its packet's full weight.
+//
+// The samples are regrouped by node with a stable counting sort, preserving
+// each node's update order, and then drive the two-phase spacesaving kernel
+// in BatchChunk-sized windows that span node boundaries:
+// spacesaving.ResolveAcross walks a whole window level by level — every
+// sample's index words, then every candidate ref and slab confirm, then
+// every bucket/victim line — so up to 64 samples' cache misses overlap
+// across nodes, and the per-run applies then replay the window's plan
+// against warm lines.
+func (e *Engine[K]) ApplyBatch(keys []K, ws []uint64) {
+	if len(keys) != e.smpN || (ws != nil && len(ws) != e.smpN) {
+		panic("core: ApplyBatch needs one key (and weight) per packet of the sampled batch")
+	}
+	e.smpN = -1
+	weighted := ws != nil
 	for _, w := range ws {
 		e.extraW += int64(w) - 1
 	}
-	for e.nextSample <= e.packets {
-		i := e.nextSample - base - 1
-		node := int32(e.rng.Uint64n(e.h))
-		e.batchNode = append(e.batchNode, node)
-		e.batchKey = append(e.batchKey, e.mask(keys[i], int(node)))
-		e.batchW = append(e.batchW, ws[i])
-		e.nextSample += 1 + e.geo.Next(e.rng)
-	}
-	e.applyGrouped(true)
-}
-
-// applyGrouped applies the batch's sampled updates grouped by node with a
-// stable counting sort, preserving each node's update order, then drives the
-// two-phase spacesaving kernel in BatchChunk-sized windows that span node
-// boundaries: spacesaving.ResolveAcross walks a whole window level by level
-// — every sample's index words, then every candidate ref and slab confirm,
-// then every bucket/victim line — so up to 64 samples' cache misses overlap
-// across nodes, and the per-run applies then replay the window's plan
-// against warm lines.
-func (e *Engine[K]) applyGrouped(weighted bool) {
 	e.batches++
-	n := len(e.batchNode)
+	n := len(e.smpPos)
 	e.samples += uint64(n)
 	if n == 0 {
 		return
@@ -479,18 +476,19 @@ func (e *Engine[K]) applyGrouped(weighted bool) {
 	for i := range off {
 		off[i] = 0
 	}
-	for _, nd := range e.batchNode {
+	for _, nd := range e.smpNode {
 		off[nd+1]++
 	}
 	for nd := 0; nd < int(e.h); nd++ {
 		off[nd+1] += off[nd]
 	}
 	pos := off // off[nd] advances to off[nd+1] while scattering
-	for i, nd := range e.batchNode {
-		e.grpKey[pos[nd]] = e.batchKey[i]
+	for i, nd := range e.smpNode {
+		p := e.smpPos[i]
+		e.grpKey[pos[nd]] = e.mask(keys[p], int(nd))
 		e.grpNode[pos[nd]] = nd
 		if weighted {
-			e.grpW[pos[nd]] = e.batchW[i]
+			e.grpW[pos[nd]] = ws[p]
 		}
 		pos[nd]++
 	}

@@ -10,9 +10,6 @@ func (e *Engine[K]) ForcePerDrawSampling() { e.useSkip = false }
 // NodeUpdates returns the number of updates node's instance has absorbed.
 func (e *Engine[K]) NodeUpdates(node int) uint64 { return e.inst[node].Updates() }
 
-// UsesSkipSampling reports whether the engine runs the geometric skip path.
-func (e *Engine[K]) UsesSkipSampling() bool { return e.useSkip }
-
 // UsesConcreteBackend reports whether the update path calls the concrete
 // Space Saving summaries without interface dispatch.
 func (e *Engine[K]) UsesConcreteBackend() bool { return e.ss != nil }

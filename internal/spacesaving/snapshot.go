@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -92,16 +93,36 @@ func (sn *Snapshot[K]) reset() {
 // SnapshotInto copies the summary's state into dst, reusing dst's arrays
 // (zero allocations once the arrays have grown to capacity). A nil dst
 // allocates a fresh snapshot. Returns dst.
+//
+// The copy walks the bucket list straight into arrays sized to the
+// monitored-key count, in ForEach order: buckets by descending count, and
+// each bucket's counters from its head.
 func (s *Summary[K]) SnapshotInto(dst *Snapshot[K]) *Snapshot[K] {
 	if dst == nil {
 		dst = &Snapshot[K]{}
 	}
-	dst.reset()
-	s.ForEach(func(k K, count, err uint64) {
-		dst.Keys = append(dst.Keys, k)
-		dst.Upper = append(dst.Upper, count)
-		dst.Lower = append(dst.Lower, count-err)
-	})
+	n := s.used
+	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
+	dst.Upper = slices.Grow(dst.Upper[:0], n)[:n]
+	dst.Lower = slices.Grow(dst.Lower[:0], n)[:n]
+	keys, upper, lower := dst.Keys, dst.Upper, dst.Lower
+	bkts, hot, cold := s.buckets, s.hot, s.cold
+	if s.min != nilIdx {
+		last := s.min
+		for bkts[last].next != nilIdx {
+			last = bkts[last].next
+		}
+		i := 0
+		for b := last; b != nilIdx; b = bkts[b].prev {
+			count := bkts[b].count
+			for c := bkts[b].head; c != nilIdx; c = hot[c].next {
+				keys[i] = hot[c].key
+				upper[i] = count
+				lower[i] = count - cold[c].err
+				i++
+			}
+		}
+	}
 	dst.N = s.n
 	dst.Min = s.MinCount()
 	dst.Cap = s.capacity

@@ -126,14 +126,14 @@ func altBucket(b, fp, mask uint32) uint32 { return (b ^ (fp * 0x5bd1)) & mask }
 
 // swarMatch returns a mask with bit 8i+7 set when byte i of w equals the
 // (repeated) byte b.
-func swarMatch(w, b uint32) uint32 {
-	x := w ^ (b * 0x01010101)
-	return (x - 0x01010101) &^ x & 0x80808080
-}
+func swarMatch(w, b uint32) uint32 { return swarZero(w ^ (b * 0x01010101)) }
 
-// swarZero returns a mask with bit 8i+7 set when byte i of w is zero.
+// swarZero returns a mask with bit 8i+7 set exactly when byte i of w is
+// zero. No carry crosses a byte: the subtract-and-mask form would also flag
+// a 0x01 byte above a zero byte, so a lookup of fingerprint 1 would follow
+// the stale ref of an empty lane above a matching one.
 func swarZero(w uint32) uint32 {
-	return (w - 0x01010101) &^ w & 0x80808080
+	return ^((w&0x7f7f7f7f + 0x7f7f7f7f) | w) & 0x80808080
 }
 
 // hashFuncFor picks the key-hash function at construction time: integer

@@ -245,6 +245,46 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetStaleLaneFingerprintOne: after Reset the slab and the index refs
+// keep stale keys, and an empty index lane must never match. Two keys with
+// fingerprint 1 share a bucket; after a Reset only the first is back, and
+// the second must be a fresh key, not the stale counter its old lane still
+// points at.
+func TestResetStaleLaneFingerprintOne(t *testing.T) {
+	s := New[uint64](64)
+	var a, k uint64
+	found := false
+	for x := uint64(0); x < 1<<24 && !found; x++ {
+		hx := s.hash(x)
+		if fpOf(hx) != 1 {
+			continue
+		}
+		for y := x + 1; y < x+1<<14; y++ {
+			if hy := s.hash(y); fpOf(hy) == 1 && hy&s.bktMask == hx&s.bktMask {
+				a, k, found = x, y, true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no two fingerprint-1 keys share a bucket")
+	}
+	if m := swarMatch(0x00000001, 1); m != 0x80 {
+		t.Fatalf("swarMatch(lane 0 = 1, others empty, 1) = %#x, want 0x80", m)
+	}
+	s.Increment(a)
+	s.IncrementBy(k, 5)
+	s.Reset()
+	s.Increment(a)
+	s.Increment(k)
+	if c, _, ok := s.Query(k); !ok || c != 1 {
+		t.Fatalf("key after Reset: count %d (monitored %v), want 1", c, ok)
+	}
+	if s.N() != 2 || s.Len() != 2 {
+		t.Fatalf("N %d, Len %d after Reset and two keys; want 2 and 2", s.N(), s.Len())
+	}
+}
+
 func TestCapacityOne(t *testing.T) {
 	for name, s := range implementations(1) {
 		t.Run(name, func(t *testing.T) {

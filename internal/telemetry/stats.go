@@ -89,7 +89,7 @@ type WatchStats struct {
 	Drops         Cell      // deltas dropped on full subscriber buffers
 	Subs          Cell      // live subscriptions
 	DifferEntries Cell      // tracked entries across all subscription differs
-	TickLatency   Histogram // wall time of a full tick (capture + diff + deliver)
+	TickLatency   Histogram // wall time of a tick up to delivery (capture + extraction + diff)
 }
 
 // Register wires the watch block.
@@ -99,7 +99,7 @@ func (s *WatchStats) Register(r *Registry, labels string) {
 	r.Counter("rhhh_watch_drops_total", labels, "Watch deltas dropped on full subscriber buffers.", &s.Drops)
 	r.Gauge("rhhh_watch_subscriptions", labels, "Live watch subscriptions.", &s.Subs)
 	r.Gauge("rhhh_watch_differ_entries", labels, "Tracked entries across subscription differs.", &s.DifferEntries)
-	r.Histogram("rhhh_watch_tick_seconds", labels, "Wall time of a standing-query tick.", &s.TickLatency)
+	r.Histogram("rhhh_watch_tick_seconds", labels, "Wall time of a standing-query tick's capture, extraction and diff.", &s.TickLatency)
 }
 
 // WindowStats is the sliding/tumbling-window block. Flush latency is the

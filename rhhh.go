@@ -195,8 +195,7 @@ type Monitor struct {
 // monImpl abstracts over the four key types × four algorithms.
 type monImpl interface {
 	update(src, dst hierarchy.Addr, w uint64)
-	updateBatch(srcs, dsts []netip.Addr)
-	updateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64)
+	updateBatch(srcs, dsts []netip.Addr, ws []uint64)
 	output(theta float64) []HeavyHitter
 	n() uint64
 	psi() float64
@@ -294,17 +293,13 @@ func (m *Monitor) UpdateWeighted(src, dst netip.Addr, w uint64) {
 // UpdateBatch records a batch of packets in one call — the DPDK-style unit
 // of work. For Dims == 1 pass dsts == nil; otherwise dsts must be the same
 // length as srcs. Results are identical to updating each packet in order;
-// the RHHH engine amortizes per-call overhead and, when V > H, skips over
-// non-sampled packets in bulk.
+// the RHHH engine amortizes per-call overhead and, when V > H (with R = 1),
+// skips over non-sampled packets in bulk: every address's family is checked,
+// but only the sampled packets are converted to keys. A panic on a bad batch
+// leaves the monitor unchanged.
 func (m *Monitor) UpdateBatch(srcs, dsts []netip.Addr) {
-	if dsts == nil {
-		if m.cfg.Dims == 2 {
-			panic("rhhh: UpdateBatch needs dsts on a two-dimensional monitor")
-		}
-	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateBatch srcs/dsts length mismatch")
-	}
-	m.impl.updateBatch(srcs, dsts)
+	checkBatch(m.cfg, srcs, dsts, nil, false)
+	m.impl.updateBatch(srcs, dsts, nil)
 }
 
 // UpdateWeightedBatch records a batch of packets carrying per-packet weights
@@ -314,17 +309,42 @@ func (m *Monitor) UpdateBatch(srcs, dsts []netip.Addr) {
 // RHHH engine applies the batch's samples node-grouped through its pipelined
 // update kernel.
 func (m *Monitor) UpdateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
+	checkBatch(m.cfg, srcs, dsts, ws, true)
+	m.impl.updateBatch(srcs, dsts, ws)
+}
+
+// checkBatch enforces the batch surfaces' length contract before any state
+// changes: dsts is nil only on a one-dimensional monitor and otherwise as
+// long as srcs, and a weighted batch has one weight per packet. Address
+// families are checked by impl.updateBatch.
+func checkBatch(cfg Config, srcs, dsts []netip.Addr, ws []uint64, weighted bool) {
+	op := "UpdateBatch"
+	if weighted {
+		op = "UpdateWeightedBatch"
+	}
 	if dsts == nil {
-		if m.cfg.Dims == 2 {
-			panic("rhhh: UpdateWeightedBatch needs dsts on a two-dimensional monitor")
+		if cfg.Dims == 2 {
+			panic("rhhh: " + op + " needs dsts on a two-dimensional monitor")
 		}
 	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateWeightedBatch srcs/dsts length mismatch")
+		panic("rhhh: " + op + " srcs/dsts length mismatch")
 	}
-	if len(ws) != len(srcs) {
+	if weighted && len(ws) != len(srcs) {
 		panic("rhhh: UpdateWeightedBatch srcs/weights length mismatch")
 	}
-	m.impl.updateWeightedBatch(srcs, dsts, ws)
+}
+
+// checkFamilies panics, with toAddr's message, on the first address not of
+// the monitor's family (v6). It lets a batch skip converting a packet
+// without skipping its check.
+func checkFamilies(v6 bool, srcs, dsts []netip.Addr) {
+	for _, addrs := range [2][]netip.Addr{srcs, dsts} {
+		for _, a := range addrs {
+			if a.Is4() == v6 {
+				toAddr(a, v6)
+			}
+		}
+	}
 }
 
 // HeavyHitters returns the approximate HHH set for threshold θ ∈ (0, 1]:
@@ -413,9 +433,8 @@ type impl[K comparable] struct {
 	key     func(src, dst hierarchy.Addr) K
 	split   func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix)
 	alg     algorithmIface[K]
-	batch   func([]K)           // alg's native batched update, when it has one
-	batchW  func([]K, []uint64) // alg's native weighted batched update
-	keyBuf  []K                 // scratch for updateBatch conversions
+	eng     *core.Engine[K] // alg when it is the RHHH engine, else nil
+	keyBuf  []K             // scratch: batch keys by position (see updateBatch)
 	conv    converter[K]
 	v6      bool
 	psiV    float64
@@ -431,7 +450,6 @@ type impl[K comparable] struct {
 	// the update path republishes the engine block when packets reaches
 	// tmNext, amortizing the O(H) backend walk over the publish interval.
 	tm      *telemetry.EngineStats
-	tmEng   *core.Engine[K]
 	tmNext  uint64
 	tmEvery uint64
 	watchTM *telemetry.WatchStats
@@ -441,16 +459,14 @@ type impl[K comparable] struct {
 const telemetryPublishPackets = 4096
 
 func (im *impl[K]) instrument(reg *telemetry.Registry) error {
-	eng, ok := im.alg.(*core.Engine[K])
-	if !ok {
+	if im.eng == nil {
 		return errors.New("rhhh: telemetry requires the RHHH algorithm")
 	}
 	im.tm = &telemetry.EngineStats{}
 	im.tm.Register(reg, "")
-	im.tmEng = eng
 	im.tmEvery = telemetryPublishPackets
 	im.tmNext = im.packets + im.tmEvery
-	eng.TelemetryInto(im.tm)
+	im.eng.TelemetryInto(im.tm)
 	im.watchTM = &telemetry.WatchStats{}
 	im.watchTM.Register(reg, "")
 	if im.hub != nil {
@@ -461,7 +477,7 @@ func (im *impl[K]) instrument(reg *telemetry.Registry) error {
 
 // publishTelemetry refreshes the engine block and re-arms the watermark.
 func (im *impl[K]) publishTelemetry() {
-	im.tmEng.TelemetryInto(im.tm)
+	im.eng.TelemetryInto(im.tm)
 	im.tmNext = im.packets + im.tmEvery
 }
 
@@ -469,8 +485,8 @@ func (im *impl[K]) publishTelemetry() {
 // the reused buffer, so unchanged ticks skip the copy) and registers opts.
 func (im *impl[K]) watch(opts WatchOptions) (*Subscription, error) {
 	if im.hub == nil {
-		eng, ok := im.alg.(*core.Engine[K])
-		if !ok {
+		eng := im.eng
+		if eng == nil {
 			return nil, errors.New("rhhh: Watch requires the RHHH algorithm")
 		}
 		if !eng.Snapshottable() {
@@ -523,7 +539,7 @@ func build[K comparable](
 			Epsilon: cfg.Epsilon, Delta: cfg.Delta,
 			V: v, R: cfg.R, Seed: cfg.Seed, Backend: backend,
 		})
-		im.alg = eng
+		im.alg, im.eng = eng, eng
 		im.psiV = eng.Psi()
 		im.vp = v
 	case MST:
@@ -532,12 +548,6 @@ func build[K comparable](
 		im.alg = ancestry.New(dom, cfg.Epsilon, ancestry.Full)
 	case PartialAncestry:
 		im.alg = ancestry.New(dom, cfg.Epsilon, ancestry.Partial)
-	}
-	if ub, ok := im.alg.(interface{ UpdateBatch([]K) }); ok {
-		im.batch = ub.UpdateBatch
-	}
-	if uw, ok := im.alg.(interface{ UpdateWeightedBatch([]K, []uint64) }); ok {
-		im.batchW = uw.UpdateWeightedBatch
 	}
 	return im, nil
 }
@@ -555,22 +565,42 @@ func (im *impl[K]) update(src, dst hierarchy.Addr, w uint64) {
 	}
 }
 
-func (im *impl[K]) updateBatch(srcs, dsts []netip.Addr) {
-	buf := im.keyBuf[:0]
-	for i, src := range srcs {
-		var dst netip.Addr
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		buf = append(buf, im.key(toAddr(src, im.v6), toAddr(dst, im.v6)))
+// updateBatch records a batch whose lengths checkBatch has accepted; ws is
+// nil for unit weights. Every address's family is checked before any state
+// changes. Under the RHHH engine's skip sampler (V > H) a check-only pass
+// comes first and only the sampled packets are converted to keys, so a
+// skipped packet costs one family check. Otherwise every packet is
+// converted up front, and the conversion is the check.
+func (im *impl[K]) updateBatch(srcs, dsts []netip.Addr, ws []uint64) {
+	n := len(srcs)
+	if cap(im.keyBuf) < n {
+		im.keyBuf = make([]K, n)
 	}
-	im.keyBuf = buf
-	im.packets += uint64(len(buf))
-	if im.batch != nil {
-		im.batch(buf)
+	keys := im.keyBuf[:n]
+	sparse := im.eng != nil && im.eng.UsesSkipSampling()
+	if sparse {
+		checkFamilies(im.v6, srcs, dsts)
 	} else {
-		for _, k := range buf {
-			im.alg.Update(k)
+		for i := range keys {
+			keys[i] = im.key(toAddr(srcs[i], im.v6), toAddr(dstAt(dsts, i), im.v6))
+		}
+	}
+	im.packets += uint64(n)
+	if im.eng != nil {
+		pos := im.eng.SampleBatch(n)
+		if sparse {
+			for _, p := range pos {
+				keys[p] = im.key(toAddr(srcs[p], im.v6), toAddr(dstAt(dsts, int(p)), im.v6))
+			}
+		}
+		im.eng.ApplyBatch(keys, ws)
+	} else {
+		for i, k := range keys {
+			if ws == nil {
+				im.alg.Update(k)
+			} else {
+				im.alg.UpdateWeighted(k, ws[i])
+			}
 		}
 	}
 	if im.tm != nil && im.packets >= im.tmNext {
@@ -578,27 +608,13 @@ func (im *impl[K]) updateBatch(srcs, dsts []netip.Addr) {
 	}
 }
 
-func (im *impl[K]) updateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
-	buf := im.keyBuf[:0]
-	for i, src := range srcs {
-		var dst netip.Addr
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		buf = append(buf, im.key(toAddr(src, im.v6), toAddr(dst, im.v6)))
+// dstAt is packet i's destination; a one-dimensional batch (nil dsts) has
+// the zero destination.
+func dstAt(dsts []netip.Addr, i int) netip.Addr {
+	if dsts == nil {
+		return netip.Addr{}
 	}
-	im.keyBuf = buf
-	im.packets += uint64(len(buf))
-	if im.batchW != nil {
-		im.batchW(buf, ws)
-	} else {
-		for i, k := range buf {
-			im.alg.UpdateWeighted(k, ws[i])
-		}
-	}
-	if im.tm != nil && im.packets >= im.tmNext {
-		im.publishTelemetry()
-	}
+	return dsts[i]
 }
 
 func (im *impl[K]) output(theta float64) []HeavyHitter {
@@ -664,8 +680,7 @@ func (c *converter[K]) convert(
 
 // snapshotInto captures the engine state into dst (see Monitor.Snapshot).
 func (im *impl[K]) snapshotInto(dst *Snapshot) *Snapshot {
-	eng, ok := im.alg.(*core.Engine[K])
-	if !ok {
+	if im.eng == nil {
 		panic("rhhh: snapshots require the RHHH algorithm")
 	}
 	if dst == nil {
@@ -679,7 +694,7 @@ func (im *impl[K]) snapshotInto(dst *Snapshot) *Snapshot {
 	// Always re-point dom/split: a reused dst may come from a monitor with
 	// the same carrier type but a different lattice.
 	st.dom, st.split = im.dom, im.split
-	eng.SnapshotInto(&st.es)
+	im.eng.SnapshotInto(&st.es)
 	return dst
 }
 
@@ -699,11 +714,10 @@ func (im *impl[K]) loadSnapshot(sc snapCore) error {
 	if !ok {
 		return errors.New("rhhh: snapshot hierarchy does not match the monitor")
 	}
-	eng, ok := im.alg.(*core.Engine[K])
-	if !ok {
+	if im.eng == nil {
 		return errors.New("rhhh: restore requires the RHHH algorithm")
 	}
-	if err := eng.LoadSnapshot(&st.es); err != nil {
+	if err := im.eng.LoadSnapshot(&st.es); err != nil {
 		return fmt.Errorf("rhhh: %w", err)
 	}
 	im.packets = st.es.Packets
@@ -711,8 +725,8 @@ func (im *impl[K]) loadSnapshot(sc snapCore) error {
 }
 
 func (im *impl[K]) n() uint64 {
-	if eng, ok := im.alg.(interface{ Weight() uint64 }); ok {
-		return eng.Weight()
+	if im.eng != nil {
+		return im.eng.Weight()
 	}
 	if a, ok := im.alg.(interface{ N() uint64 }); ok {
 		return a.N()

@@ -564,8 +564,8 @@ func newAggState[K comparable](first *impl[K], monitors []*Monitor) *aggState[K]
 		ex:      core.NewExtractor(first.dom),
 	}
 	for i, m := range monitors {
-		eng, ok := m.impl.(*impl[K]).alg.(*core.Engine[K])
-		if !ok {
+		eng := m.impl.(*impl[K]).eng
+		if eng == nil {
 			panic("rhhh: sharding requires the RHHH engine")
 		}
 		a.engines[i] = eng

@@ -167,3 +167,51 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestWatchTelemetryPrecedesDelivery: a watch tick stores its counters and
+// latency observation before it delivers any delta, so a scrape made on
+// receipt of a delta — here from inside the synchronous callback — already
+// reflects the tick that produced it.
+func TestWatchTelemetryPrecedesDelivery(t *testing.T) {
+	m := rhhh.MustNew(rhhh.Config{Dims: 1, Epsilon: 0.01, Delta: 0.01, Seed: 4})
+	reg := telemetry.NewRegistry()
+	if err := m.Instrument(reg); err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(family, sample string) float64 {
+		fams, err := telemetry.ParseProm(string(reg.Gather(nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := telemetry.Lookup(fams, family, sample, "")
+		if !ok {
+			t.Fatalf("%s missing from the scrape", sample)
+		}
+		return s.Value
+	}
+	var delivered uint64
+	sub, err := m.Watch(rhhh.WatchOptions{Theta: 0.2, OnDelta: func(d rhhh.Delta) {
+		delivered++
+		ticks := scrape("rhhh_watch_ticks_total", "rhhh_watch_ticks_total")
+		deliveries := scrape("rhhh_watch_deliveries_total", "rhhh_watch_deliveries_total")
+		latencies := scrape("rhhh_watch_tick_seconds", "rhhh_watch_tick_seconds_count")
+		if ticks != float64(d.Seq) || latencies != float64(d.Seq) || deliveries != float64(delivered) {
+			t.Errorf("delta %d: scrape reads %v ticks, %v latencies, %v deliveries; want %d, %d, %d",
+				d.Seq, ticks, latencies, deliveries, d.Seq, d.Seq, delivered)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	heavy := []netip.Addr{netip.MustParseAddr("10.1.2.3"), netip.MustParseAddr("192.0.2.7")}
+	for i := range 4 {
+		for range 5000 {
+			m.Update(heavy[i%2], netip.Addr{})
+		}
+		m.Tick()
+	}
+	if delivered == 0 {
+		t.Fatal("no delta delivered")
+	}
+}

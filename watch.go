@@ -143,6 +143,7 @@ type watchHub[K comparable] struct {
 	ipv6    bool
 	capture func() *core.EngineSnapshot[K]
 	subs    []*subState[K]
+	ready   []*subState[K] // scratch: the tick's subscriptions with a delta
 	seq     uint64
 	closed  bool
 
@@ -175,6 +176,7 @@ type subState[K comparable] struct {
 	fbuf                []core.Result[K]
 	convA, convR, convU converter[K]
 	dropped             uint64
+	out                 Delta // the tick's delta, built before any delivery
 }
 
 func newWatchHub[K comparable](
@@ -295,8 +297,10 @@ func (h *watchHub[K]) minInterval() time.Duration {
 }
 
 // tick runs one standing-query evaluation: one capture, then per
-// subscription extraction, filtering, diffing and delivery. Ticks, Watch and
-// Close serialize on the hub lock.
+// subscription extraction, filtering and diffing, then delivery. The tick's
+// telemetry is stored before the first delivery, so a subscriber that
+// scrapes right after receiving a delta sees the tick that produced it.
+// Ticks, Watch and Close serialize on the hub lock.
 func (h *watchHub[K]) tick() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -309,6 +313,7 @@ func (h *watchHub[K]) tick() {
 	}
 	es := h.capture()
 	h.seq++
+	h.ready = h.ready[:0]
 	for _, st := range h.subs {
 		theta := st.opts.Theta
 		if st.opts.AutoThetaK > 0 {
@@ -323,7 +328,7 @@ func (h *watchHub[K]) tick() {
 			continue
 		}
 		h.delivered++
-		st.deliver(Delta{
+		st.out = Delta{
 			Seq:      h.seq,
 			N:        es.Weight,
 			Theta:    theta,
@@ -331,25 +336,35 @@ func (h *watchHub[K]) tick() {
 			Admitted: st.convA.convert(h.dom, h.split, d.Admitted),
 			Retired:  st.convR.convert(h.dom, h.split, d.Retired),
 			Updated:  st.convU.convert(h.dom, h.split, d.Updated),
-		})
+		}
+		h.ready = append(h.ready, st)
 	}
 	if h.tm != nil {
 		h.publishTelemetry(t0)
+	}
+	for _, st := range h.ready {
+		st.deliver(st.out)
+	}
+	if h.tm != nil {
+		// Stored after delivery, which is where full channels drop.
+		var drops uint64
+		for _, st := range h.subs {
+			drops += st.dropped
+		}
+		h.tm.Drops.Store(drops)
 	}
 }
 
 // publishTelemetry surfaces the tick's counters and latency. Runs under
 // h.mu (the histogram's owner serialization) on every instrumented tick.
 func (h *watchHub[K]) publishTelemetry(t0 time.Time) {
-	var differs, drops uint64
+	var differs uint64
 	for _, st := range h.subs {
 		differs += uint64(st.differ.Len())
-		drops += st.dropped
 	}
 	tm := h.tm
 	tm.Ticks.Store(h.seq)
 	tm.Deliveries.Store(h.delivered)
-	tm.Drops.Store(drops)
 	tm.Subs.Store(uint64(len(h.subs)))
 	tm.DifferEntries.Store(differs)
 	tm.TickLatency.ObserveSince(t0)

@@ -201,27 +201,27 @@ func (w *Windowed) UpdateWeighted(src, dst netip.Addr, wgt uint64) {
 // UpdateBatch feeds a batch of packets in one call, splitting the batch at
 // window boundaries: results (delivered windows included) are identical to
 // feeding every packet through Update in order. For Dims == 1 pass
-// dsts == nil.
+// dsts == nil. A panic on a bad batch changes no window.
 func (w *Windowed) UpdateBatch(srcs, dsts []netip.Addr) {
-	if dsts == nil {
-		if w.cfg.Dims == 2 {
-			panic("rhhh: UpdateBatch needs dsts on a two-dimensional monitor")
-		}
-	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateBatch srcs/dsts length mismatch")
-	}
-	for len(srcs) > 0 {
+	checkBatch(w.cfg, srcs, dsts, nil, false)
+	for checked := false; len(srcs) > 0; {
 		room := w.size - w.current.N() // packets until the boundary
 		n := uint64(len(srcs))
 		if n > room {
 			n = room
+		}
+		if n < uint64(len(srcs)) && !checked {
+			// The batch crosses a window boundary: check all of it before
+			// its first chunk lands (each chunk checks only itself).
+			checkFamilies(w.cfg.IPv6, srcs, dsts)
+			checked = true
 		}
 		var chunkDst []netip.Addr
 		if dsts != nil {
 			chunkDst = dsts[:n]
 			dsts = dsts[n:]
 		}
-		w.current.UpdateBatch(srcs[:n], chunkDst)
+		w.current.impl.updateBatch(srcs[:n], chunkDst, nil)
 		srcs = srcs[n:]
 		if w.current.N() >= w.size {
 			w.flush()
@@ -234,19 +234,11 @@ func (w *Windowed) UpdateBatch(srcs, dsts []netip.Addr) {
 // results (delivered windows included) are identical to feeding every
 // (packet, weight) pair through UpdateWeighted in order — a heavy packet
 // closes the window exactly where it would have sequentially. For Dims == 1
-// pass dsts == nil; ws must be the same length as srcs.
+// pass dsts == nil; ws must be the same length as srcs. A panic on a bad
+// batch changes no window.
 func (w *Windowed) UpdateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
-	if dsts == nil {
-		if w.cfg.Dims == 2 {
-			panic("rhhh: UpdateWeightedBatch needs dsts on a two-dimensional monitor")
-		}
-	} else if len(dsts) != len(srcs) {
-		panic("rhhh: UpdateWeightedBatch srcs/dsts length mismatch")
-	}
-	if len(ws) != len(srcs) {
-		panic("rhhh: UpdateWeightedBatch srcs/weights length mismatch")
-	}
-	for len(srcs) > 0 {
+	checkBatch(w.cfg, srcs, dsts, ws, true)
+	for checked := false; len(srcs) > 0; {
 		room := w.size - w.current.N() // weight until the boundary
 		// Take packets up to and including the one whose weight crosses the
 		// boundary — the packet after which the sequential path would flush.
@@ -259,12 +251,17 @@ func (w *Windowed) UpdateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
 				break
 			}
 		}
+		if n < len(srcs) && !checked {
+			// The batch crosses a window boundary: check all of it first.
+			checkFamilies(w.cfg.IPv6, srcs, dsts)
+			checked = true
+		}
 		var chunkDst []netip.Addr
 		if dsts != nil {
 			chunkDst = dsts[:n]
 			dsts = dsts[n:]
 		}
-		w.current.UpdateWeightedBatch(srcs[:n], chunkDst, ws[:n])
+		w.current.impl.updateBatch(srcs[:n], chunkDst, ws[:n])
 		srcs = srcs[n:]
 		ws = ws[n:]
 		if w.current.N() >= w.size {
@@ -419,8 +416,8 @@ func newWindowedHub(w *Windowed) (watchCtl, error) {
 // at flush time — the ring-merged snapshot when sliding, a reused snapshot
 // of the closing monitor when tumbling.
 func windowedHub[K comparable](w *Windowed, im *impl[K]) (watchCtl, error) {
-	eng, ok := im.alg.(*core.Engine[K])
-	if !ok {
+	eng := im.eng
+	if eng == nil {
 		return nil, errors.New("rhhh: Watch requires the RHHH algorithm")
 	}
 	var buf core.EngineSnapshot[K]
