@@ -151,7 +151,9 @@ func BenchmarkFig5UpdateSpeed(b *testing.B) {
 // sampling, key conversion and the counter kernel. Their difference is the
 // amortized publication cost. VeqH runs the default configuration (V = H,
 // every packet sampled) and VeqH-R2 adds R = 2 (two samples per packet),
-// both at the default cadence.
+// both at the default cadence. CHK and CHK-NoPublish are DefaultCadence
+// and NoPublish on the CuckooHeavyKeeper backend, whose publications
+// capture and sort every node's sketch.
 func BenchmarkWorkerUpdateBatch(b *testing.B) {
 	const ringSize, batch = 1 << 18, 256
 	gen := trace.NewSynthetic(trace.Profile("chicago16"))
@@ -165,18 +167,21 @@ func BenchmarkWorkerUpdateBatch(b *testing.B) {
 	cfg := rhhh.Config{Dims: 2, Epsilon: 0.001, Delta: 0.001, Seed: 1}
 	h := rhhh.MustNew(cfg).H()
 	for _, c := range []struct {
-		name string
-		v, r int
-		opts rhhh.ShardedOptions
+		name    string
+		v, r    int
+		opts    rhhh.ShardedOptions
+		backend rhhh.Backend
 	}{
-		{"DefaultCadence", 10 * h, 1, rhhh.ShardedOptions{}},
-		{"NoPublish", 10 * h, 1, rhhh.ShardedOptions{PublishPackets: 1 << 62, PublishBatches: 1 << 30}},
-		{"VeqH", h, 1, rhhh.ShardedOptions{}},
-		{"VeqH-R2", h, 2, rhhh.ShardedOptions{}},
+		{"DefaultCadence", 10 * h, 1, rhhh.ShardedOptions{}, rhhh.StreamSummary},
+		{"NoPublish", 10 * h, 1, rhhh.ShardedOptions{PublishPackets: 1 << 62, PublishBatches: 1 << 30}, rhhh.StreamSummary},
+		{"VeqH", h, 1, rhhh.ShardedOptions{}, rhhh.StreamSummary},
+		{"VeqH-R2", h, 2, rhhh.ShardedOptions{}, rhhh.StreamSummary},
+		{"CHK", 10 * h, 1, rhhh.ShardedOptions{}, rhhh.CuckooHeavyKeeper},
+		{"CHK-NoPublish", 10 * h, 1, rhhh.ShardedOptions{PublishPackets: 1 << 62, PublishBatches: 1 << 30}, rhhh.CuckooHeavyKeeper},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := cfg
-			cfg.V, cfg.R = c.v, c.r
+			cfg.V, cfg.R, cfg.Backend = c.v, c.r, c.backend
 			s, err := rhhh.NewShardedOptions(cfg, 1, c.opts)
 			if err != nil {
 				b.Fatal(err)

@@ -1,9 +1,11 @@
 package chk
 
 import (
+	"math/rand"
 	"testing"
 
 	"rhhh/internal/fastrand"
+	"rhhh/internal/spacesaving"
 )
 
 // benchKeys builds a key stream over keyspace distinct values.
@@ -77,4 +79,33 @@ func BenchmarkCHKUpdate(b *testing.B) {
 			s.IncrementBy(keys[i&(1<<14-1)]|1<<40, 100)
 		}
 	})
+}
+
+// BenchmarkCHKCapture times one capture of an engine's worth of sketches:
+// 25 nodes (the 2D byte lattice) of CountersFor(ε = 0.001) = 1001
+// counters, each full after 2¹⁷ Zipf updates, copied by SnapshotInto into
+// reused snapshots. It is the cost a CHK-backed engine pays per
+// publication and per delta report.
+func BenchmarkCHKCapture(b *testing.B) {
+	const nodes, counters = 25, 1001
+	sketches := make([]*Sketch[uint64], nodes)
+	for i := range sketches {
+		s := New[uint64](counters, uint64(i))
+		z := rand.NewZipf(rand.New(rand.NewSource(int64(i))), 1.1, 1, 1<<20)
+		for range 1 << 17 {
+			s.Increment(z.Uint64())
+		}
+		sketches[i] = s
+	}
+	dst := make([]spacesaving.Snapshot[uint64], nodes)
+	for i, s := range sketches {
+		s.SnapshotInto(&dst[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, s := range sketches {
+			s.SnapshotInto(&dst[i])
+		}
+	}
 }

@@ -25,6 +25,7 @@ package chk
 import (
 	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"rhhh/internal/fastrand"
 )
@@ -98,7 +99,8 @@ type Sketch[K comparable] struct {
 	hash     func(K) uint32
 	rng      fastrand.Source
 	stash    []stashEntry[K]
-	perm     []int32 // ForEach scratch: occupied slot order
+	perm     []int32 // capture scratch: monitored ids in ForEach order
+	tmp      []int32 // capture scratch: the radix sort's other buffer
 	displace bool    // some key has been decayed out or taken over
 
 	// Lifetime decay-competition counters (they survive Reset so published
@@ -344,24 +346,12 @@ func (s *Sketch[K]) Bounds(k K) (upper, lower uint64) {
 	return s.MinCount(), 0
 }
 
-// ForEach visits every monitored key in descending count order (ties by
-// slot position), the same deterministic order spacesaving.Summary.ForEach
-// uses, with count as both bounds (err = 0).
+// ForEach visits every monitored key in descending count order, ties by
+// ascending slot position with the stash last — the same deterministic
+// order spacesaving.Summary.ForEach uses — with count as both bounds
+// (err = 0).
 func (s *Sketch[K]) ForEach(fn func(k K, count uint64)) {
-	total := s.Len()
-	if cap(s.perm) < total {
-		s.perm = make([]int32, total)
-	}
-	perm := s.perm[:0]
-	for i, c := range s.counts {
-		if c != 0 {
-			perm = append(perm, int32(i))
-		}
-	}
-	for i := range s.stash {
-		perm = append(perm, int32(len(s.counts)+i))
-	}
-	s.sortPerm(perm)
+	perm, _ := s.order()
 	for _, id := range perm {
 		if int(id) < len(s.counts) {
 			fn(s.keys[id], s.counts[id])
@@ -381,24 +371,55 @@ func (s *Sketch[K]) countOf(id int32) uint64 {
 	return s.stash[int(id)-len(s.counts)].count
 }
 
-// sortPerm orders ids by descending count, ascending id on ties (insertion
-// sort on the binary-insertion point: the table is small and mostly counts,
-// and avoiding sort.Slice keeps ForEach allocation-free).
-func (s *Sketch[K]) sortPerm(perm []int32) {
-	for i := 1; i < len(perm); i++ {
-		id := perm[i]
-		c := s.countOf(id)
-		j := i - 1
-		for j >= 0 {
-			cj := s.countOf(perm[j])
-			if cj > c || (cj == c && perm[j] < id) {
-				break
-			}
-			perm[j+1] = perm[j]
-			j--
-		}
-		perm[j+1] = id
+// order returns the monitored ids in ForEach order, and the smallest
+// monitored count (0 when nothing is monitored). Ids go in in ascending
+// slot order with the stash after, and a stable LSD radix sort, 8 bits a
+// pass, on each count's distance below the largest orders them by
+// descending count with ties in that input order. It runs only the passes
+// the spread of the counts needs, and reuses the sketch's scratch.
+func (s *Sketch[K]) order() (perm []int32, lo uint64) {
+	total := s.Len()
+	if cap(s.perm) < total {
+		s.perm = make([]int32, total)
+		s.tmp = make([]int32, total)
 	}
+	perm, tmp := s.perm[:total], s.tmp[:total]
+	if total == 0 {
+		return perm, 0
+	}
+	hi, lo := uint64(0), ^uint64(0)
+	j := 0
+	for i, c := range s.counts {
+		if c != 0 {
+			perm[j] = int32(i)
+			j++
+			hi, lo = max(hi, c), min(lo, c)
+		}
+	}
+	for i := range s.stash {
+		perm[j] = int32(len(s.counts) + i)
+		j++
+		c := s.stash[i].count
+		hi, lo = max(hi, c), min(lo, c)
+	}
+	for shift := 0; shift < bits.Len64(hi-lo); shift += 8 {
+		var count [256]int32
+		for _, id := range perm {
+			count[byte((hi-s.countOf(id))>>shift)]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, id := range perm {
+			d := byte((hi - s.countOf(id)) >> shift)
+			tmp[count[d]] = id
+			count[d]++
+		}
+		perm, tmp = tmp, perm
+	}
+	return perm, lo
 }
 
 // Reset clears all counters and the stream weight, keeping the seed and the

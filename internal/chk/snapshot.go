@@ -2,6 +2,7 @@ package chk
 
 import (
 	"fmt"
+	"slices"
 
 	"rhhh/internal/spacesaving"
 )
@@ -10,21 +11,34 @@ import (
 // the read path's common currency, so merging, serialization, deltas and
 // the query extractor all work on CHK state unchanged. Entries appear in
 // ForEach order (descending count); Upper == Lower for every entry since
-// CHK keeps point estimates. dst's arrays are reused; a nil dst allocates.
+// CHK keeps point estimates. The copy writes by index into dst's arrays,
+// grown to Len() and reused, so a warm capture allocates nothing; a nil dst
+// allocates.
 func (s *Sketch[K]) SnapshotInto(dst *spacesaving.Snapshot[K]) *spacesaving.Snapshot[K] {
 	if dst == nil {
 		dst = &spacesaving.Snapshot[K]{}
 	}
-	dst.Keys = dst.Keys[:0]
-	dst.Upper = dst.Upper[:0]
-	dst.Lower = dst.Lower[:0]
-	s.ForEach(func(k K, count uint64) {
-		dst.Keys = append(dst.Keys, k)
-		dst.Upper = append(dst.Upper, count)
-		dst.Lower = append(dst.Lower, count)
-	})
+	perm, lo := s.order()
+	n := len(perm)
+	dst.Keys = slices.Grow(dst.Keys[:0], n)[:n]
+	dst.Upper = slices.Grow(dst.Upper[:0], n)[:n]
+	dst.Lower = slices.Grow(dst.Lower[:0], n)[:n]
+	keys, upper, lower := dst.Keys, dst.Upper, dst.Lower
+	for i, id := range perm {
+		var c uint64
+		if int(id) < len(s.counts) {
+			keys[i], c = s.keys[id], s.counts[id]
+		} else {
+			e := &s.stash[int(id)-len(s.counts)]
+			keys[i], c = e.key, e.count
+		}
+		upper[i], lower[i] = c, c
+	}
 	dst.N = s.n
-	dst.Min = s.MinCount()
+	dst.Min = 0
+	if s.displace {
+		dst.Min = lo // MinCount, from the pass that gathered the ids
+	}
 	dst.Cap = s.Capacity()
 	dst.Stamp()
 	return dst

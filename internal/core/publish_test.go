@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"rhhh/internal/core"
 	"rhhh/internal/fastrand"
@@ -126,6 +128,87 @@ func TestPubRingPinnedSlotStable(t *testing.T) {
 	}
 	if ring.Slots() > 5 {
 		t.Fatalf("ring kept growing after the pin was released: %d slots", ring.Slots())
+	}
+}
+
+// TestPubRingDropsIdleSpare: the slot a pin held across two publications
+// forces the ring to add is kept while pins keep needing it and dropped once
+// it has gone unused for a while, so the ring's footprint returns to three
+// slots instead of depending on whether some reader was ever slow.
+func TestPubRingDropsIdleSpare(t *testing.T) {
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 61})
+	ring := core.NewPubRing(eng)
+	r := fastrand.New(62)
+	var slot *core.PubSlot[uint64]
+	// seen tracks every slot the ring hands out without keeping it alive.
+	seen := map[weak.Pointer[core.PubSlot[uint64]]]bool{}
+	publish := func(n int) {
+		for range n {
+			for i := 0; i < 256; i++ {
+				eng.Update(gen2D(r))
+			}
+			slot = ring.Publish(slot)
+			seen[weak.Make(slot)] = true
+		}
+	}
+	// holdAcross pins the current publication while four more go out, so
+	// the slot added for it is also published while the pin is held.
+	holdAcross := func() {
+		held := slot
+		held.Pin()
+		publish(4)
+		held.Unpin()
+	}
+	publish(5)
+	if got := ring.Slots(); got != 3 {
+		t.Fatalf("warm ring has %d slots without pins, want 3", got)
+	}
+	holdAcross()
+	if got := ring.Slots(); got != 4 {
+		t.Fatalf("ring has %d slots after a pin held across two publications, want 4", got)
+	}
+	// Long pins a few publications apart share the spare: it is neither
+	// dropped between them nor allocated again for each.
+	for range 10 {
+		publish(8)
+		if got := ring.Slots(); got != 4 {
+			t.Fatalf("ring has %d slots 8 publications after a long pin, want the spare kept (4)", got)
+		}
+		holdAcross()
+		if got := ring.Slots(); got != 4 {
+			t.Fatalf("ring has %d slots under recurring long pins, want 4", got)
+		}
+	}
+	if len(seen) != 4 {
+		t.Fatalf("ring handed out %d distinct slots under recurring long pins, want 4", len(seen))
+	}
+	// Once no pin needs it, the spare goes.
+	publish(30)
+	if got := ring.Slots(); got != 3 {
+		t.Fatalf("ring has %d slots 30 publications after the last long pin, want 3", got)
+	}
+	// And nothing keeps it alive: only the ring's three slots survive GC.
+	runtime.GC()
+	live := 0
+	for p := range seen {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	runtime.KeepAlive(ring)
+	if live != 3 {
+		t.Fatalf("%d of the %d slots handed out survive GC, want 3", live, len(seen))
+	}
+	ref := eng.Snapshot()
+	a, b := slot.Snapshot().Output(dom, 0.05), ref.Output(dom, 0.05)
+	if len(a) != len(b) {
+		t.Fatalf("publication after dropping the spare: %d vs %d results", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("publication after dropping the spare, result %d: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }
 

@@ -69,7 +69,8 @@ func NewPubRing[K comparable](eng *Engine[K]) *PubRing[K] {
 
 // Slots returns the number of slot buffers the ring has allocated — it
 // stabilizes at three once recycling kicks in (current, one behind, and the
-// recycle target) plus one per concurrently held pin.
+// recycle target), plus one per pin held across two publications until that
+// spare has gone unused for spareIdle publications (see take).
 func (r *PubRing[K]) Slots() int { return len(r.slots) }
 
 // Publish captures the engine's state into a slot and returns it. prev must
@@ -141,21 +142,55 @@ func (r *PubRing[K]) Publish(prev *PubSlot[K]) *PubSlot[K] {
 	dst.gen = nextSnapGen()
 	dst.src, dst.srcEpoch = e, e.epoch
 	slot.ownerEpoch = r.epoch
+	// The protected set is this publication's scratch: holding on to it
+	// would keep a slot take has since dropped alive.
+	clear(prot)
 	return slot
 }
 
-// take picks the slot to publish into: a slot at least two publications
-// stale with no pins, or a fresh one. Never prev — readers may be using it
-// at lag 0 or 1 without a pin being visible yet.
+const (
+	// steadySlots is the ring's size while no pin outlives two
+	// publications: current, one behind, and the recycle target.
+	steadySlots = 3
+	// spareIdle is how many publications a slot beyond steadySlots may go
+	// unused before take drops it: a burst of slow reads shares one spare,
+	// and the ring is back to three slots soon after the last one (0.1 s
+	// at the default cadence and 2.5 Mpps per worker), so its footprint
+	// does not depend on whether some reader was ever slow.
+	spareIdle = 16
+)
+
+// take picks the slot to publish into: the first slot at least two
+// publications stale with no pins, or a fresh one. Never prev — readers may
+// be using it at lag 0 or 1 without a pin being visible yet. Taking the
+// first free slot keeps reusing the same three, so a spare ages, and take
+// drops a free spare once it has gone unused for spareIdle publications.
+// Dropping is safe for the reason recycling is: a reader that pins the
+// dropped slot now sees a lag of 2 or more and retries without reading it.
 func (r *PubRing[K]) take(prev *PubSlot[K]) *PubSlot[K] {
+	var got *PubSlot[K]
 	for _, s := range r.slots {
 		if s != prev && s.ownerEpoch+2 <= r.epoch && s.pins.Load() == 0 {
-			return s
+			got = s
+			break
 		}
 	}
-	s := &PubSlot[K]{}
-	r.slots = append(r.slots, s)
-	return s
+	if got == nil {
+		got = &PubSlot[K]{}
+		r.slots = append(r.slots, got)
+		return got
+	}
+	if len(r.slots) > steadySlots {
+		kept := r.slots[:0]
+		for _, s := range r.slots {
+			if s == got || s == prev || s.ownerEpoch+spareIdle > r.epoch || s.pins.Load() != 0 {
+				kept = append(kept, s)
+			}
+		}
+		clear(r.slots[len(kept):])
+		r.slots = kept
+	}
+	return got
 }
 
 // protected collects the snapshots a concurrent reader may legitimately

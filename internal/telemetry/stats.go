@@ -6,7 +6,10 @@ import "time"
 // owning goroutine fills its block at an existing boundary (worker publish,
 // watch tick, window flush, reporter tick); Register wires the block's
 // cells into a registry under the canonical metric names, so every command
-// (hhhd, hhh, vswitchd) exposes the same catalogue.
+// (hhhd, hhh, vswitchd) exposes the same catalogue. A block's cells are
+// stored and scraped one by one: each series is consistent on its own, but
+// one scrape may mix two publications across the series of a block. Only a
+// Histogram's cells publish together, under its seqlock.
 
 // EngineStats is the per-engine block: update-path counters plus the
 // counter-backend occupancy gauges (Space Saving slab or CHK slots).

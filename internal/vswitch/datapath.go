@@ -2,64 +2,8 @@ package vswitch
 
 import (
 	"rhhh/internal/core"
-	"rhhh/internal/fastrand"
 	"rhhh/internal/trace"
 )
-
-// EMC is the exact-match cache in front of the classifier, mirroring the
-// OVS-DPDK EMC: a bounded map from five-tuple to action with random
-// replacement.
-type EMC struct {
-	m   map[trace.FiveTuple]Action
-	cap int
-	rng *fastrand.Source
-	// keys mirrors the map for O(1) random eviction.
-	keys []trace.FiveTuple
-	pos  map[trace.FiveTuple]int
-}
-
-// NewEMC returns a cache holding up to capacity flows (OVS defaults to 8192).
-func NewEMC(capacity int, seed uint64) *EMC {
-	if capacity < 1 {
-		panic("vswitch: EMC capacity must be >= 1")
-	}
-	return &EMC{
-		m:   make(map[trace.FiveTuple]Action, capacity),
-		cap: capacity,
-		rng: fastrand.New(seed),
-		pos: make(map[trace.FiveTuple]int, capacity),
-	}
-}
-
-// Lookup returns the cached action for the flow.
-func (c *EMC) Lookup(ft trace.FiveTuple) (Action, bool) {
-	a, ok := c.m[ft]
-	return a, ok
-}
-
-// Insert caches the action, evicting a random entry at capacity.
-func (c *EMC) Insert(ft trace.FiveTuple, a Action) {
-	if _, ok := c.m[ft]; ok {
-		c.m[ft] = a
-		return
-	}
-	if len(c.keys) >= c.cap {
-		i := int(c.rng.Uint64n(uint64(len(c.keys))))
-		victim := c.keys[i]
-		last := len(c.keys) - 1
-		c.keys[i] = c.keys[last]
-		c.pos[c.keys[i]] = i
-		c.keys = c.keys[:last]
-		delete(c.m, victim)
-		delete(c.pos, victim)
-	}
-	c.m[ft] = a
-	c.pos[ft] = len(c.keys)
-	c.keys = append(c.keys, ft)
-}
-
-// Len returns the number of cached flows.
-func (c *EMC) Len() int { return len(c.m) }
 
 // Hook is the measurement integration point: it sees every packet the
 // datapath processes (the paper's dataplane integration).
@@ -143,13 +87,17 @@ func (d *Datapath) Process(p trace.Packet) Action {
 	return d.forward(p)
 }
 
-// forward runs the pipeline stages after the measurement hook.
+// forward runs the pipeline stages after the measurement hook. The
+// five-tuple is hashed once, for the EMC lookup and for a miss's insert.
 func (d *Datapath) forward(p trace.Packet) Action {
 	ft := p.Flow()
-	a, ok := d.Cache.Lookup(ft)
-	if ok {
+	h := flowHash(ft)
+	var a Action
+	if i := d.Cache.find(ft, h); i >= 0 {
 		d.stats.EMCHits++
+		a = d.Cache.actions[i]
 	} else {
+		var ok bool
 		a, ok = d.Table.Lookup(p)
 		if ok {
 			d.stats.TableHits++
@@ -157,7 +105,7 @@ func (d *Datapath) forward(p trace.Packet) Action {
 			d.stats.NoMatch++
 			a = d.DefaultAction
 		}
-		d.Cache.Insert(ft, a)
+		d.Cache.add(ft, h, a)
 	}
 	if a.Drop {
 		d.stats.Dropped++

@@ -17,7 +17,9 @@ import (
 //     scrape-time closures taking c.mu — including per-sender dynamic
 //     series whose rendered label strings are cached per sender id.
 
-// ReporterTelemetry is the DeltaReporter's publication block.
+// ReporterTelemetry is the DeltaReporter's publication block. Its cells
+// are stored one by one, so each series is consistent on its own but one
+// scrape may mix two publications across series.
 type ReporterTelemetry struct {
 	Reports      telemetry.Cell
 	FullReports  telemetry.Cell
