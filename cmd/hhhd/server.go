@@ -86,7 +86,9 @@ var metricCatalogue = []catalogueEntry{
 	{"rhhh_worker_publish_age_seconds", "gauge", "sharded", "Seconds since the worker's last snapshot publication."},
 	{"rhhh_queries_total", "counter", "query", "Heavy-hitter query and snapshot evaluations."},
 	{"rhhh_query_pin_retries_total", "counter", "query", "Publication-pin retries against racing publications."},
+	{"rhhh_query_node_merges_total", "counter", "query", "Lattice nodes a query or watch tick merged in full because the read went past the node's head."},
 	{"rhhh_query_hits", "gauge", "query", "Result size of the last heavy-hitters query."},
+	{"rhhh_query_seconds", "histogram", "query", "Wall time of a heavy-hitters query."},
 	{"rhhh_watch_ticks_total", "counter", "watch", "Standing-query delta-computation ticks."},
 	{"rhhh_watch_deliveries_total", "counter", "watch", "Watch deltas delivered to subscribers."},
 	{"rhhh_watch_drops_total", "counter", "watch", "Watch deltas dropped on full subscriber buffers."},

@@ -29,3 +29,15 @@ func (e *Engine[K]) UsesCHKBackend() bool { return e.chk != nil }
 // Gen exposes the snapshot's mutation generation to the publication and
 // merger-skip tests.
 func (es *EngineSnapshot[K]) Gen() uint64 { return es.gen }
+
+// UnionPaths returns how many node scans over several inputs were answered
+// from the head alone, and how many merged the node because an input Min
+// reached the per-input cut, the head outgrew the capacity, or a read went
+// past the head.
+func (ex *Extractor[K]) UnionPaths() (head, minFallback, capFallback, readFallback uint64) {
+	p := ex.union.paths
+	return p[pathHead], p[pathMinFallback], p[pathCapFallback], p[pathReadFallback]
+}
+
+// MergedBuffers returns how many merged-node buffers the extractor holds.
+func (ex *Extractor[K]) MergedBuffers() int { return len(ex.union.pool) }

@@ -8,10 +8,10 @@ package core
 // summaries preserve the Definition 4 bounds (see spacesaving.Merger), so
 // Theorem 6.17 applies to the union stream with N = ΣNi.
 //
-// MergeOutput snapshots every engine and merges the snapshots; callers that
-// query repeatedly should hold their own EngineSnapshot buffers and a
-// SnapshotMerger instead (as the sharded aggregator does) to avoid the
-// per-call snapshot allocation.
+// MergeOutput snapshots every engine and extracts from the snapshots' union
+// (Extractor.ExtractSnapshots); callers that query repeatedly should hold
+// their own EngineSnapshot buffers and Extractor instead (as the sharded
+// aggregator does) to avoid the per-call allocations.
 //
 // Like the other query entry points, treat the returned slice as read-only
 // and valid only until the next query involving the same engines (with a
@@ -40,6 +40,5 @@ func MergeOutput[K comparable](theta float64, engines ...*Engine[K]) []Result[K]
 	for i, e := range engines {
 		snaps[i] = e.Snapshot()
 	}
-	var sm SnapshotMerger[K]
-	return sm.Merge(nil, snaps...).Output(first.dom, theta)
+	return NewExtractor(first.dom).ExtractSnapshots(snaps, theta)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 
 	"rhhh/internal/hierarchy"
+	"rhhh/internal/spacesaving"
 	"rhhh/internal/stats"
 )
 
@@ -32,8 +33,8 @@ type Result[K comparable] struct {
 // together by one open-addressing (node, key) index and index-linked
 // per-entry lists, the same slab idiom the Space Saving summary uses. All
 // scratch (result buffer, entry and list slabs, gSet buffers, GLB domination
-// stamps, snapshot bounds indices) is retained across calls, so a warm query
-// allocates nothing.
+// stamps, snapshot bounds indices, per-node heads and lazily merged nodes)
+// is retained across calls, so a warm query allocates nothing.
 //
 // An Extractor is bound to one lattice domain and is not safe for concurrent
 // use. Its Extract methods return a slice owned by the Extractor: treat it
@@ -59,11 +60,10 @@ type Extractor[K comparable] struct {
 	resEntry []int32
 
 	// Entry slab: one entry per (node, key) touched this query — admitted
-	// prefixes (flagInP), their generalizations at ancestor nodes (with the
-	// index-linked list of admitted descendants that gSet consumes), and
-	// seeds carried over from the previous query in incremental mode. The
-	// slab is indexed by tab (open addressing, entry+1, 0 = empty) and
-	// chained per node through eNext for the incremental tail scan.
+	// prefixes (flagInP) and their generalizations at ancestor nodes (with
+	// the index-linked list of admitted descendants that gSet consumes).
+	// The slab is indexed by tab (open addressing, entry+1, 0 = empty) and
+	// chained per node through eNext for the tail scan.
 	eKey   []K
 	eNode  []int32
 	eHash  []uint32
@@ -83,50 +83,44 @@ type Extractor[K comparable] struct {
 	elRes  []int32
 	elNext []int32
 
-	gBuf    []int32 // gSet result scratch
-	gRound  uint32
-	tailBuf []int32 // incremental tail-scan position scratch
+	gBuf     []int32 // gSet result scratch
+	gRound   uint32
+	gNodeMrk []uint32 // per node: gRound when it holds a member of G
+	tailBuf  []int32  // tail-scan position scratch
 
-	// Per-call state.
+	// Per-call state. in holds the snapshot query's inputs (nil for live
+	// instances); one backs ExtractSnapshot's single input.
 	scale, corr, threshold float64
 	curNode                int32
 	inst                   []Instance[K]
-	snap                   *EngineSnapshot[K]
+	in                     []*EngineSnapshot[K]
+	one                    [1]*EngineSnapshot[K]
 	visitCb                func(K, uint64, uint64)
+	call                   uint64 // snapshot-call counter, keys gen-0 bounds indices
 
 	// Snapshot bounds-index cache: per-node key→position tables over the
-	// last snapshot's Keys arrays, built lazily (only GLB nodes ever get
-	// Bounds queries) and kept valid across queries until the snapshot's
-	// generation changes.
-	idxSnap *EngineSnapshot[K]
-	idxGen  uint64
+	// Keys array a node is read from (the input for one snapshot, the
+	// lazily merged node for several), built on first use — only GLB and
+	// tail reads need them — and kept while the node's generation holds.
 	nodeIdx []boundsIndex[K]
 
-	// Incremental-query state: the previous result set (the seed), its
-	// stream weight, and the identity of the last snapshot answered so an
-	// unchanged snapshot at the same θ returns the retained results with no
-	// work at all.
-	maxGrowth float64
-	prevKeys  []K
-	prevNodes []int32
-	prevN     float64
-	prevValid bool
-	lastSnap  *EngineSnapshot[K]
-	lastGen   uint64
+	// The union view of several inputs (see heads.go): per-node heads and
+	// the lazily merged nodes.
+	union unionView[K]
+
+	// fullScan makes snapshot queries read every node in full (merged, for
+	// several inputs) and visit every key: the reference evaluation.
+	fullScan bool
+
+	// Unchanged-query shortcut: the input generations and θ of the last
+	// snapshot query, so re-asking it returns the retained results.
+	lastGens  []uint64
 	lastTheta float64
+	lastValid bool
 }
 
-const (
-	extFlagInP  uint8 = 1 << 0 // entry's (node, key) is in the admitted set
-	extFlagSeed uint8 = 1 << 1 // entry seeded from the previous query's result
-)
-
-// DefaultMaxGrowth is the default bound on relative stream growth between
-// consecutive snapshot queries under which the incremental (seeded) path is
-// used; beyond it the extractor falls back to a full scan. Both paths give
-// bit-identical output — the bound only decides which evaluation strategy
-// pays off.
-const DefaultMaxGrowth = 0.25
+// extFlagInP marks an entry whose (node, key) is in the admitted set.
+const extFlagInP uint8 = 1 << 0
 
 // NewExtractor builds a reusable extraction workspace over dom.
 func NewExtractor[K comparable](dom *hierarchy.Domain[K]) *Extractor[K] {
@@ -142,8 +136,8 @@ func NewExtractor[K comparable](dom *hierarchy.Domain[K]) *Extractor[K] {
 		tab:       make([]int32, 1024),
 		tabMask:   1023,
 		nodeHead:  make([]int32, h),
+		gNodeMrk:  make([]uint32, h),
 		nodeIdx:   make([]boundsIndex[K], h),
-		maxGrowth: DefaultMaxGrowth,
 	}
 	for node := 0; node < h; node++ {
 		for v := 0; v < h; v++ {
@@ -160,11 +154,14 @@ func NewExtractor[K comparable](dom *hierarchy.Domain[K]) *Extractor[K] {
 	return ex
 }
 
-// SetMaxGrowth configures the incremental-query growth bound (see
-// DefaultMaxGrowth). A negative value disables the seeded path entirely, so
-// every changed snapshot takes the full scan; the unchanged-snapshot
-// shortcut is unaffected. Output is bit-identical at any setting.
-func (ex *Extractor[K]) SetMaxGrowth(g float64) { ex.maxGrowth = g }
+// SetMaxGrowth selects the snapshot scan. A negative value makes every
+// changed snapshot query read each node in full — merged, when there are
+// several inputs — and visit every monitored key: the reference evaluation
+// the differential tests and benchmarks compare against. Any other value,
+// the default, selects the pruned scan. The unchanged-snapshot shortcut is
+// unaffected, and output is bit-identical either way. (The name is
+// historical: the pruned scan used to be bounded by stream growth.)
+func (ex *Extractor[K]) SetMaxGrowth(g float64) { ex.fullScan = g < 0 }
 
 // Extract runs the Output procedure over live per-node instances:
 //
@@ -184,61 +181,144 @@ func (ex *Extractor[K]) Extract(inst []Instance[K], n, scale, correction, theta 
 	if len(inst) != ex.dom.Size() {
 		panic("core: instance count does not match lattice size")
 	}
-	ex.inst, ex.snap = inst, nil
-	ex.lastSnap = nil // live instances mutate freely; no unchanged shortcut
-	out := ex.run(n, scale, correction, theta, false)
+	ex.inst, ex.in = inst, nil
+	ex.lastValid = false // live instances mutate freely; no unchanged shortcut
+	out := ex.run(n, scale, correction, theta)
 	ex.inst = nil
 	return out
 }
 
-// ExtractSnapshot answers the HHH query from an engine snapshot, exactly as
+// ExtractSnapshot answers the HHH query from one engine snapshot, exactly as
 // the engine it was taken from would have at capture time (same candidate
-// order, same bounds, same V/r scaling and sampling correction). The
-// per-node bounds indices are cached inside the Extractor across calls; a
-// snapshot whose generation is unchanged since the previous call at the same
-// θ short-circuits to the retained result, and one whose stream weight moved
-// by at most the configured growth bound takes the incremental path seeded
-// with the previous result set. All paths return bit-identical output.
+// order, same bounds, same V/r scaling and sampling correction). It is
+// ExtractSnapshots with a single input.
 func (ex *Extractor[K]) ExtractSnapshot(es *EngineSnapshot[K], theta float64) []Result[K] {
-	if len(es.Nodes) != ex.dom.Size() {
-		panic("core: snapshot does not match lattice size")
-	}
-	n := float64(es.Weight)
-	if n == 0 {
-		return nil
-	}
-	if es.gen != 0 && ex.lastSnap == es && ex.lastGen == es.gen && ex.lastTheta == theta && ex.prevValid {
-		return ex.resultsOrNil()
-	}
-	scale := float64(es.V) / float64(es.R)
-	corr := SamplingCorrection(n, es.V, es.R, es.Delta)
-	ex.snap, ex.inst = es, nil
-	ex.refreshIndexCache(es)
-	incremental := ex.maxGrowth >= 0 && ex.prevValid && ex.prevN > 0 &&
-		math.Abs(n-ex.prevN) <= ex.maxGrowth*ex.prevN
-	out := ex.run(n, scale, corr, theta, incremental)
-	ex.lastSnap, ex.lastGen, ex.lastTheta = es, es.gen, theta
+	ex.one[0] = es
+	out := ex.ExtractSnapshots(ex.one[:], theta)
+	ex.one[0] = nil
 	return out
 }
 
+// ExtractSnapshots answers the HHH query over the union of snapshots taken
+// over disjoint sub-streams, bit-identical to ExtractSnapshot over their
+// SnapshotMerger.Merge (inputs in the same order) but without building the
+// merged snapshot: each node is read from its head — the keys that can
+// qualify, with exact merged bounds — and merged in full only when the
+// procedure reads past the head (see heads.go). One input is read directly.
+// The inputs must share the lattice and V and R, like Merge's; they are
+// only read, and only during the call.
+//
+// Per-node bounds indices and merged nodes are cached inside the Extractor
+// across calls, keyed on node generations, and a query whose inputs'
+// generations and θ match the previous call returns the retained result.
+func (ex *Extractor[K]) ExtractSnapshots(snaps []*EngineSnapshot[K], theta float64) []Result[K] {
+	n := ex.bind(snaps)
+	defer clear(ex.in)
+	if n == 0 {
+		return nil
+	}
+	if ex.unchanged(theta) {
+		return ex.resultsOrNil()
+	}
+	first := snaps[0]
+	out := ex.run(float64(n), float64(first.V)/float64(first.R),
+		SamplingCorrection(float64(n), first.V, first.R, first.Delta), theta)
+	ex.lastGens = ex.lastGens[:0]
+	for _, s := range snaps {
+		ex.lastGens = append(ex.lastGens, s.gen)
+	}
+	ex.lastTheta, ex.lastValid = theta, true
+	return out
+}
+
+// SuggestTheta is EngineSnapshot.SuggestTheta over the union of snaps: the
+// fully specified node is read merged, through the same lazy merge a
+// following ExtractSnapshots call on the same inputs reuses.
+func (ex *Extractor[K]) SuggestTheta(snaps []*EngineSnapshot[K], k int) float64 {
+	if k < 1 {
+		panic("core: SuggestTheta needs k >= 1")
+	}
+	n := ex.bind(snaps)
+	defer clear(ex.in)
+	if len(snaps) == 1 {
+		return snaps[0].SuggestTheta(ex.dom, k)
+	}
+	if n == 0 {
+		return 1
+	}
+	full := ex.dom.FullNode()
+	ex.union.begin(ex, false)
+	if !ex.union.cached(ex, full) {
+		ex.union.merge(ex, full)
+	}
+	first := snaps[0]
+	return suggestTheta(ex.union.merged(full), float64(n), first.V, first.R, first.Delta, k)
+}
+
+// NodeMerges returns how many lattice nodes the Extractor has merged in full
+// over its lifetime: the fallback reads of ExtractSnapshots and
+// SuggestTheta over several inputs.
+func (ex *Extractor[K]) NodeMerges() uint64 { return ex.union.merges }
+
+// bind validates and records a snapshot call's inputs and returns their
+// total stream weight.
+func (ex *Extractor[K]) bind(snaps []*EngineSnapshot[K]) uint64 {
+	if len(snaps) == 0 {
+		panic("core: snapshot query over zero snapshots")
+	}
+	first := snaps[0]
+	var n uint64
+	for _, s := range snaps {
+		if len(s.Nodes) != ex.h {
+			panic("core: snapshot does not match lattice size")
+		}
+		if s.V != first.V || s.R != first.R {
+			panic("core: snapshot union requires equal V and R")
+		}
+		n += s.Weight
+	}
+	ex.inst, ex.in = nil, append(ex.in[:0], snaps...)
+	return n
+}
+
+// unchanged reports whether the bound inputs and θ repeat the previous
+// snapshot query: every input generation known and equal. Generations, not
+// pointers, identify content (see SnapshotMerger).
+func (ex *Extractor[K]) unchanged(theta float64) bool {
+	if !ex.lastValid || theta != ex.lastTheta || len(ex.in) != len(ex.lastGens) {
+		return false
+	}
+	for i, s := range ex.in {
+		if s.gen == 0 || s.gen != ex.lastGens[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // run is the shared admission loop.
-func (ex *Extractor[K]) run(n, scale, correction, theta float64, incremental bool) []Result[K] {
+func (ex *Extractor[K]) run(n, scale, correction, theta float64) []Result[K] {
 	ex.scale, ex.corr, ex.threshold = scale, correction, theta*n
 	ex.resetQuery()
-	if incremental {
-		ex.seedPrev()
+	if ex.in != nil {
+		ex.call++
+		if len(ex.in) > 1 {
+			ex.union.begin(ex, true)
+		}
 	}
 	for _, level := range ex.dom.NodesByLevel() {
 		for _, node := range level {
 			ex.curNode = int32(node)
-			if ex.snap != nil {
-				ex.scanSnapshotNode(node, incremental)
-			} else {
+			switch {
+			case ex.in == nil:
 				ex.inst[node].Candidates(ex.visitCb)
+			case len(ex.in) == 1:
+				ex.scanSorted(&ex.in[0].Nodes[node], node)
+			default:
+				ex.union.scan(ex, node)
 			}
 		}
 	}
-	ex.savePrev(n)
 	return ex.resultsOrNil()
 }
 
@@ -246,6 +326,7 @@ func (ex *Extractor[K]) run(n, scale, correction, theta float64, incremental boo
 func (ex *Extractor[K]) resetQuery() {
 	clear(ex.tab)
 	clear(ex.nodeHead)
+	clear(ex.gNodeMrk)
 	ex.results = ex.results[:0]
 	ex.resEntry = ex.resEntry[:0]
 	ex.eKey = ex.eKey[:0]
@@ -338,6 +419,11 @@ func (ex *Extractor[K]) calcPred(pKey K) float64 {
 	// G-membership stamps. The index costs O(ancestors(glb)) ≤ H per pair,
 	// so it wins once |G| outgrows the hierarchy — the pre-convergence
 	// regime where the old triple loop over G went cubic.
+	//
+	// The indexed scan skips an ancestor node of the glb that is one of the
+	// pair's own nodes (the only element there generalizing the glb is the
+	// pair's own, since masking the glb to that node gives its key) or that
+	// holds no member of G at all.
 	useIdx := len(g) > ex.h
 	round := uint32(0)
 	if useIdx {
@@ -347,6 +433,7 @@ func (ex *Extractor[K]) calcPred(pKey K) float64 {
 			me := ex.resEntry[idx]
 			ex.eGMark[me] = round
 			ex.eGWho[me] = idx
+			ex.gNodeMrk[ex.results[idx].Node] = round
 		}
 	}
 	for i := 0; i < len(g); i++ {
@@ -360,6 +447,9 @@ func (ex *Extractor[K]) calcPred(pKey K) float64 {
 			dominated := false
 			if useIdx {
 				for _, w := range ex.genUpSelf[qNode] {
+					if int(w) == hi.Node || int(w) == hj.Node || ex.gNodeMrk[w] != round {
+						continue
+					}
 					me := ex.find(w, ex.mask(qKey, int(w)))
 					if me >= 0 && ex.eGMark[me] == round {
 						if who := ex.eGWho[me]; who != g[i] && who != g[j] {
@@ -431,82 +521,83 @@ func (ex *Extractor[K]) gSet(e int32) []int32 {
 // upperOf returns the upper frequency bound of an arbitrary prefix, in raw
 // instance units (the caller applies the scale).
 func (ex *Extractor[K]) upperOf(k K, node int) uint64 {
-	if ex.snap != nil {
-		sn := &ex.snap.Nodes[node]
-		if pos := ex.keyPos(k, node); pos >= 0 {
-			return sn.Upper[pos]
-		}
-		return sn.Min
+	switch {
+	case ex.in == nil:
+		up, _ := ex.inst[node].Bounds(k)
+		return up
+	case len(ex.in) == 1:
+		return ex.boundOf(&ex.in[0].Nodes[node], k, node)
+	default:
+		return ex.union.upperOf(ex, k, node)
 	}
-	up, _ := ex.inst[node].Bounds(k)
-	return up
 }
 
-// scanSnapshotNode enumerates one node's candidates from the snapshot. The
-// full scan visits every monitored key in stored (non-ascending upper bound)
-// order. The incremental scan uses that order: once a key's upper bound
-// alone cannot reach the threshold, only keys with at least two admitted
-// descendants (a positive add-back needs a pair, Algorithm 3) or seeded from
-// the previous result can still matter, and those are fetched directly from
-// the node's entry list — every skipped candidate is provably rejected, so
-// both scans admit identical sets with identical estimates.
-func (ex *Extractor[K]) scanSnapshotNode(node int, incremental bool) {
-	sn := &ex.snap.Nodes[node]
+// boundOf returns k's upper bound in the snapshot node sn that node is read
+// from: the stored bound when monitored, sn.Min otherwise.
+func (ex *Extractor[K]) boundOf(sn *spacesaving.Snapshot[K], k K, node int) uint64 {
+	if pos := ex.keyPos(sn, k, node); pos >= 0 {
+		return sn.Upper[pos]
+	}
+	return sn.Min
+}
+
+// qualifies reports whether an upper bound alone (with the correction, no
+// calcPred adjustment) reaches the threshold. It is monotone in up, and a
+// candidate it rejects can only be admitted through a positive calcPred,
+// which needs two admitted descendants (a glb add-back, Algorithm 3).
+func (ex *Extractor[K]) qualifies(up uint64) bool {
+	return !(float64(up)*ex.scale+ex.corr < ex.threshold)
+}
+
+// scanSorted enumerates one node's candidates from the snapshot node sn it
+// is read from, whose keys are stored in non-ascending upper-bound order.
+// The prefix whose bounds qualify is visited in order; past it, only keys
+// with at least two admitted descendants can be admitted (every other
+// candidate's calcPred is ≤ 0), and those are fetched directly from the
+// node's entry list — so the pruned scan admits exactly what the full scan
+// (every key, in order) admits, with identical estimates.
+func (ex *Extractor[K]) scanSorted(sn *spacesaving.Snapshot[K], node int) {
 	keys := sn.Keys
-	if !incremental {
+	if ex.fullScan {
 		for i, k := range keys {
 			ex.visit(k, sn.Upper[i], sn.Lower[i])
 		}
 		return
 	}
 	i := 0
-	for ; i < len(keys); i++ {
-		if float64(sn.Upper[i])*ex.scale+ex.corr < ex.threshold {
-			break
-		}
+	for ; i < len(keys) && ex.qualifies(sn.Upper[i]); i++ {
 		ex.visit(keys[i], sn.Upper[i], sn.Lower[i])
 	}
-	if i >= len(keys) {
-		return
+	if i < len(keys) {
+		ex.scanTail(sn, node, int32(i))
 	}
+}
+
+// scanTail visits, in stored order, the keys of sn at or past position from
+// that have at least two admitted descendants.
+func (ex *Extractor[K]) scanTail(sn *spacesaving.Snapshot[K], node int, from int32) {
 	ex.tailBuf = ex.tailBuf[:0]
 	for e := ex.nodeHead[node] - 1; e >= 0; e = ex.eNext[e] {
-		if ex.eCount[e] < 2 && ex.eFlags[e]&extFlagSeed == 0 {
+		if ex.eCount[e] < 2 {
 			continue
 		}
-		if pos := ex.keyPos(ex.eKey[e], node); pos >= int32(i) {
+		if pos := ex.keyPos(sn, ex.eKey[e], node); pos >= from {
 			ex.tailBuf = append(ex.tailBuf, pos)
 		}
 	}
-	// Ascending position restores the reference evaluation order.
-	for a := 1; a < len(ex.tailBuf); a++ {
-		for b := a; b > 0 && ex.tailBuf[b] < ex.tailBuf[b-1]; b-- {
-			ex.tailBuf[b], ex.tailBuf[b-1] = ex.tailBuf[b-1], ex.tailBuf[b]
+	sortInt32(ex.tailBuf)
+	for _, pos := range ex.tailBuf {
+		ex.visit(sn.Keys[pos], sn.Upper[pos], sn.Lower[pos])
+	}
+}
+
+// sortInt32 sorts a short slice ascending in place (tail sets are small).
+func sortInt32(a []int32) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-	for _, pos := range ex.tailBuf {
-		ex.visit(keys[pos], sn.Upper[pos], sn.Lower[pos])
-	}
-}
-
-// seedPrev marks the previous query's admitted prefixes in the entry table,
-// so the incremental tail scan re-evaluates them wherever they fall.
-func (ex *Extractor[K]) seedPrev() {
-	for i, k := range ex.prevKeys {
-		ex.eFlags[ex.entryFor(ex.prevNodes[i], k)] |= extFlagSeed
-	}
-}
-
-// savePrev retains the query's admitted set as the next query's seed.
-func (ex *Extractor[K]) savePrev(n float64) {
-	ex.prevKeys = ex.prevKeys[:0]
-	ex.prevNodes = ex.prevNodes[:0]
-	for i := range ex.results {
-		ex.prevKeys = append(ex.prevKeys, ex.results[i].Key)
-		ex.prevNodes = append(ex.prevNodes, int32(ex.results[i].Node))
-	}
-	ex.prevN = n
-	ex.prevValid = true
 }
 
 // find returns the entry of (node, k), or −1.
@@ -572,38 +663,22 @@ func (ex *Extractor[K]) growTable() {
 	}
 }
 
-// boundsIndex is one node's key→position table over a snapshot's Keys array.
+// boundsIndex is one node's key→position table over the Keys array the
+// node is read from.
 type boundsIndex[K comparable] struct {
-	tab   []int32 // position + 1; 0 = empty
-	mask  uint32
-	gen   uint64 // node snapshot generation the index was built from
-	built bool
+	tab  []int32 // position + 1; 0 = empty
+	mask uint32
+	gen  uint64 // generation of the snapshot node the index was built from
+	call uint64 // snapshot call it was built in (a generation of 0 is unknown)
 }
 
-// refreshIndexCache invalidates the per-node bounds indices whose node
-// content changed since they were built; untouched nodes keep their lazily
-// built index even when the snapshot as a whole moved (a partial re-merge
-// bumps only the re-merged nodes' generations).
-func (ex *Extractor[K]) refreshIndexCache(es *EngineSnapshot[K]) {
-	if ex.idxSnap == es && ex.idxGen == es.gen && es.gen != 0 {
-		return
-	}
-	for i := range ex.nodeIdx {
-		bi := &ex.nodeIdx[i]
-		if g := es.Nodes[i].Gen(); g == 0 || g != bi.gen {
-			bi.built = false
-		}
-	}
-	ex.idxSnap, ex.idxGen = es, es.gen
-}
-
-// keyPos returns k's position in the current snapshot's node Keys array, or
-// −1 when unmonitored, building the node's index on first use.
-func (ex *Extractor[K]) keyPos(k K, node int) int32 {
+// keyPos returns k's position in sn's Keys array (sn is the snapshot node
+// node is read from this call), or −1 when unmonitored, (re)building the
+// node's index when sn's generation moved or is unknown.
+func (ex *Extractor[K]) keyPos(sn *spacesaving.Snapshot[K], k K, node int) int32 {
 	bi := &ex.nodeIdx[node]
-	sn := &ex.snap.Nodes[node]
-	if !bi.built {
-		ex.buildIndex(bi, int32(node))
+	if g := sn.Gen(); bi.tab == nil || bi.gen != g || (g == 0 && bi.call != ex.call) {
+		ex.buildIndex(bi, sn, int32(node))
 	}
 	h := ex.hash(k, int32(node))
 	pos := h & bi.mask
@@ -619,10 +694,10 @@ func (ex *Extractor[K]) keyPos(k K, node int) int32 {
 	}
 }
 
-// buildIndex (re)builds one node's bounds index over the node's snapshot
-// Keys, reusing the table storage.
-func (ex *Extractor[K]) buildIndex(bi *boundsIndex[K], node int32) {
-	keys := ex.snap.Nodes[node].Keys
+// buildIndex (re)builds one node's bounds index over sn's Keys, reusing the
+// table storage.
+func (ex *Extractor[K]) buildIndex(bi *boundsIndex[K], sn *spacesaving.Snapshot[K], node int32) {
+	keys := sn.Keys
 	n := uint32(8)
 	for int(n) < 2*len(keys) {
 		n <<= 1
@@ -641,8 +716,7 @@ func (ex *Extractor[K]) buildIndex(bi *boundsIndex[K], node int32) {
 		}
 		bi.tab[pos] = int32(i) + 1
 	}
-	bi.gen = ex.snap.Nodes[node].Gen()
-	bi.built = true
+	bi.gen, bi.call = sn.Gen(), ex.call
 }
 
 // extHashFor resolves the (key, node) hash at instantiation time: integer

@@ -224,7 +224,12 @@ func (es *EngineSnapshot[K]) SuggestTheta(dom *hierarchy.Domain[K], k int) float
 	if n == 0 {
 		return 1
 	}
-	sn := &es.Nodes[dom.FullNode()]
+	return suggestTheta(&es.Nodes[dom.FullNode()], n, es.V, es.R, es.Delta, k)
+}
+
+// suggestTheta is SuggestTheta's rule over the fully specified node sn of a
+// snapshot (or union of snapshots) of stream weight n > 0.
+func suggestTheta[K comparable](sn *spacesaving.Snapshot[K], n float64, v, r int, delta float64, k int) float64 {
 	var up uint64
 	switch {
 	case len(sn.Keys) == 0:
@@ -234,8 +239,8 @@ func (es *EngineSnapshot[K]) SuggestTheta(dom *hierarchy.Domain[K], k int) float
 	default:
 		up = sn.Upper[len(sn.Upper)-1]
 	}
-	scale := float64(es.V) / float64(es.R)
-	theta := (float64(up)*scale + SamplingCorrection(n, es.V, es.R, es.Delta)) / n
+	scale := float64(v) / float64(r)
+	theta := (float64(up)*scale + SamplingCorrection(n, v, r, delta)) / n
 	// Clamp both ends: the correction is non-positive when δ ≥ 0.5 and the
 	// fully specified node can be empty, so the raw value may reach 0 or
 	// below — floor at one stream unit (θ·N = 1) to keep the promise that

@@ -28,9 +28,16 @@ type Domain[K comparable] struct {
 	step     int // bits per hierarchy step (8=bytes, 4=nibbles, 1=bits)
 	nodes    []Node
 	byLevel  [][]int // node indices grouped by Level, ascending
-	index    map[[2]int]int
 	fullNode int
 	rootNode int
+
+	// grid is the dense lattice index: grid[row*cols+col] is 1 + the node
+	// keeping row·step source bits and col·step destination bits, 0 where
+	// no node exists (cols is 1 in one dimension). nodeRow and nodeCol are
+	// each node's coordinates, so GLB reads its node with no division.
+	grid             []int32
+	cols             int
+	nodeRow, nodeCol []int32
 
 	mask   func(k K, srcBits, dstBits int) K
 	merge  func(src, dst K) K // take source dim of 1st arg, dest dim of 2nd
@@ -73,8 +80,15 @@ func (d *Domain[K]) RootNode() int { return d.rootNode }
 
 // NodeByBits returns the node index for the given kept-bits pattern.
 func (d *Domain[K]) NodeByBits(srcBits, dstBits int) (int, bool) {
-	i, ok := d.index[[2]int{srcBits, dstBits}]
-	return i, ok
+	if srcBits < 0 || dstBits < 0 || srcBits%d.step != 0 || dstBits%d.step != 0 {
+		return 0, false
+	}
+	row, col := srcBits/d.step, dstBits/d.step
+	if row >= len(d.grid)/d.cols || col >= d.cols {
+		return 0, false
+	}
+	v := d.grid[row*d.cols+col]
+	return int(v) - 1, v != 0
 }
 
 // Mask projects a fully specified key onto node i's pattern.
@@ -141,13 +155,12 @@ func (d *Domain[K]) ProperlyGeneralizes(aKey K, a int, bKey K, b int) bool {
 // no common descendant (the paper then treats glb as an item with count 0).
 func (d *Domain[K]) GLB(aKey K, a int, bKey K, b int) (K, int, bool) {
 	na, nb := d.nodes[a], d.nodes[b]
-	srcBits := max(na.SrcBits, nb.SrcBits)
-	dstBits := max(na.DstBits, nb.DstBits)
-	node, ok := d.index[[2]int{srcBits, dstBits}]
-	if !ok {
+	v := d.grid[max(d.nodeRow[a], d.nodeRow[b])*int32(d.cols)+max(d.nodeCol[a], d.nodeCol[b])]
+	if v == 0 {
 		var zero K
 		return zero, 0, false
 	}
+	node := int(v) - 1
 	// Candidate key: source dimension from the deeper-source prefix,
 	// destination dimension from the deeper-destination prefix.
 	srcDonor := aKey
@@ -175,12 +188,12 @@ func (d *Domain[K]) Parents(i int) []int {
 	n := d.nodes[i]
 	var out []int
 	if n.SrcBits > 0 {
-		if p, ok := d.index[[2]int{n.SrcBits - d.step, n.DstBits}]; ok {
+		if p, ok := d.NodeByBits(n.SrcBits-d.step, n.DstBits); ok {
 			out = append(out, p)
 		}
 	}
 	if d.dims == 2 && n.DstBits > 0 {
-		if p, ok := d.index[[2]int{n.SrcBits, n.DstBits - d.step}]; ok {
+		if p, ok := d.NodeByBits(n.SrcBits, n.DstBits-d.step); ok {
 			out = append(out, p)
 		}
 	}
@@ -193,12 +206,12 @@ func (d *Domain[K]) Children(i int) []int {
 	n := d.nodes[i]
 	var out []int
 	if n.SrcBits < d.width {
-		if c, ok := d.index[[2]int{n.SrcBits + d.step, n.DstBits}]; ok {
+		if c, ok := d.NodeByBits(n.SrcBits+d.step, n.DstBits); ok {
 			out = append(out, c)
 		}
 	}
 	if d.dims == 2 && n.DstBits < d.width {
-		if c, ok := d.index[[2]int{n.SrcBits, n.DstBits + d.step}]; ok {
+		if c, ok := d.NodeByBits(n.SrcBits, n.DstBits+d.step); ok {
 			out = append(out, c)
 		}
 	}
@@ -211,18 +224,23 @@ func (d *Domain[K]) Format(k K, i int) string {
 	return d.format(k, n.SrcBits, n.DstBits)
 }
 
-// buildNodes enumerates lattice nodes for the given shape. Nodes are ordered
-// by level ascending (fully specified first) and, within a level, by source
-// bits descending; the order is fixed but otherwise arbitrary — RHHH's update
-// only needs a uniform draw over node indices.
-func buildNodes(dims, width, step int) (nodes []Node, byLevel [][]int, index map[[2]int]int, full, root int) {
+// buildNodes enumerates lattice nodes for the given shape and fills d's node
+// tables and dense index. Nodes are ordered by level ascending (fully
+// specified first) and, within a level, by source bits descending; the order
+// is fixed but otherwise arbitrary — RHHH's update only needs a uniform draw
+// over node indices.
+func (d *Domain[K]) buildNodes(dims, width, step int) {
 	if width%step != 0 {
 		panic(fmt.Sprintf("hierarchy: width %d not divisible by step %d", width, step))
 	}
 	perDim := width/step + 1
 	maxLevel := (perDim - 1) * dims
-	index = make(map[[2]int]int)
-	byLevel = make([][]int, maxLevel+1)
+	d.cols = 1
+	if dims == 2 {
+		d.cols = perDim
+	}
+	d.grid = make([]int32, perDim*d.cols)
+	d.byLevel = make([][]int, maxLevel+1)
 	for lvl := 0; lvl <= maxLevel; lvl++ {
 		for sSteps := perDim - 1; sSteps >= 0; sSteps-- {
 			srcGen := (perDim - 1) - sSteps // generalization steps in src
@@ -230,18 +248,18 @@ func buildNodes(dims, width, step int) (nodes []Node, byLevel [][]int, index map
 			if dGen < 0 || dGen > (perDim-1)*(dims-1) {
 				continue
 			}
-			srcBits := sSteps * step
-			dstBits := 0
+			dSteps := 0
 			if dims == 2 {
-				dstBits = width - dGen*step
+				dSteps = perDim - 1 - dGen
 			}
-			i := len(nodes)
-			nodes = append(nodes, Node{SrcBits: srcBits, DstBits: dstBits, Level: lvl})
-			index[[2]int{srcBits, dstBits}] = i
-			byLevel[lvl] = append(byLevel[lvl], i)
+			i := len(d.nodes)
+			d.nodes = append(d.nodes, Node{SrcBits: sSteps * step, DstBits: dSteps * step, Level: lvl})
+			d.nodeRow = append(d.nodeRow, int32(sSteps))
+			d.nodeCol = append(d.nodeCol, int32(dSteps))
+			d.grid[sSteps*d.cols+dSteps] = int32(i) + 1
+			d.byLevel[lvl] = append(d.byLevel[lvl], i)
 		}
 	}
-	full = index[[2]int{width, width * (dims - 1)}]
-	root = index[[2]int{0, 0}]
-	return nodes, byLevel, index, full, root
+	d.fullNode, _ = d.NodeByBits(width, width*(dims-1))
+	d.rootNode, _ = d.NodeByBits(0, 0)
 }

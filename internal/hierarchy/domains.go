@@ -82,7 +82,7 @@ func newIPv4OneDim(step int) *Domain[uint32] {
 			return formatPrefix32(k, srcBits)
 		},
 	}
-	d.nodes, d.byLevel, d.index, d.fullNode, d.rootNode = buildNodes(1, 32, step)
+	d.buildNodes(1, 32, step)
 	d.name = fmt.Sprintf("1D-IPv4-%s (H=%d)", Granularity(step), len(d.nodes))
 	tbl := make([]uint32, len(d.nodes))
 	for i, n := range d.nodes {
@@ -118,7 +118,7 @@ func newIPv4TwoDim(step int) *Domain[uint64] {
 			return fmt.Sprintf("(%s -> %s)", formatPrefix32(s, srcBits), formatPrefix32(t, dstBits))
 		},
 	}
-	d.nodes, d.byLevel, d.index, d.fullNode, d.rootNode = buildNodes(2, 32, step)
+	d.buildNodes(2, 32, step)
 	d.name = fmt.Sprintf("2D-IPv4-%s (H=%d)", Granularity(step), len(d.nodes))
 	tbl := make([]uint64, len(d.nodes))
 	for i, n := range d.nodes {
@@ -150,7 +150,7 @@ func newIPv6OneDim(step int) *Domain[Addr] {
 			return formatPrefix128(k, srcBits)
 		},
 	}
-	d.nodes, d.byLevel, d.index, d.fullNode, d.rootNode = buildNodes(1, 128, step)
+	d.buildNodes(1, 128, step)
 	d.name = fmt.Sprintf("1D-IPv6-%s (H=%d)", Granularity(step), len(d.nodes))
 	tbl := make([]Addr, len(d.nodes))
 	for i, n := range d.nodes {
@@ -186,7 +186,7 @@ func newIPv6TwoDim(step int) *Domain[AddrPair] {
 			return fmt.Sprintf("(%s -> %s)", formatPrefix128(k.Src, srcBits), formatPrefix128(k.Dst, dstBits))
 		},
 	}
-	d.nodes, d.byLevel, d.index, d.fullNode, d.rootNode = buildNodes(2, 128, step)
+	d.buildNodes(2, 128, step)
 	d.name = fmt.Sprintf("2D-IPv6-%s (H=%d)", Granularity(step), len(d.nodes))
 	ones := Addr{Hi: ^uint64(0), Lo: ^uint64(0)}
 	tbl := make([]AddrPair, len(d.nodes))

@@ -38,27 +38,48 @@ func zigzag(x int64) uint64 { return uint64((x << 1) ^ (x >> 63)) }
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
 // DeltaCoder encodes and decodes snapshot deltas, retaining all scratch (the
-// base key index, reference stamps, the duplicate-key check set) across calls
-// so steady-state coding allocates nothing beyond the output buffer. Not safe
-// for concurrent use.
+// base key index, reference stamps, the duplicate-key table) across calls so
+// steady-state coding allocates nothing beyond the output buffer. Both
+// tables are flat linear-probing arrays hashed like Summary's index; the
+// decode tables are stamped with a round number instead of being cleared.
+// Not safe for concurrent use.
 type DeltaCoder[K comparable] struct {
-	idx   map[K]int32 // encode: base key → base index
-	used  []int32     // decode: round stamp per referenced base index
-	seen  map[K]int32 // decode: duplicate-key detection
+	hash  func(K) uint32
+	idx   []int32    // encode: base index + 1 per slot, 0 = empty
+	used  []int32    // decode: round stamp per referenced base index
+	seen  []seenSlot // decode: decoded keys, live when stamped this round
 	round int32
 }
+
+// seenSlot is one duplicate-check slot: position pos of the decoded keys,
+// live while round matches the coder's.
+type seenSlot struct{ round, pos int32 }
 
 // AppendDelta appends the delta encoding of sn relative to base and returns
 // the extended buffer. putKey appends one key's fixed-width encoding (the
 // same codec AppendBinary uses).
 func (dc *DeltaCoder[K]) AppendDelta(buf []byte, sn, base *Snapshot[K], putKey func([]byte, K) []byte) []byte {
-	if dc.idx == nil {
-		dc.idx = make(map[K]int32, len(base.Keys))
+	if dc.hash == nil {
+		dc.hash = hashFuncFor[K]()
+	}
+	size := 16
+	for size < 2*len(base.Keys) {
+		size <<= 1
+	}
+	if cap(dc.idx) < size {
+		dc.idx = make([]int32, size)
 	} else {
+		dc.idx = dc.idx[:size]
 		clear(dc.idx)
 	}
+	mask := uint32(size - 1)
 	for i, k := range base.Keys {
-		dc.idx[k] = int32(i)
+		// A repeated base key maps to its last position.
+		p := dc.hash(k) & mask
+		for dc.idx[p] != 0 && base.Keys[dc.idx[p]-1] != k {
+			p = (p + 1) & mask
+		}
+		dc.idx[p] = int32(i) + 1
 	}
 	buf = append(buf, snapshotDeltaVersion)
 	buf = binary.AppendUvarint(buf, uint64(sn.Cap))
@@ -67,8 +88,12 @@ func (dc *DeltaCoder[K]) AppendDelta(buf []byte, sn, base *Snapshot[K], putKey f
 	buf = binary.AppendUvarint(buf, uint64(len(sn.Keys)))
 	prev := int32(-1)
 	for i, k := range sn.Keys {
-		j, ok := dc.idx[k]
-		if !ok {
+		p := dc.hash(k) & mask
+		for dc.idx[p] != 0 && base.Keys[dc.idx[p]-1] != k {
+			p = (p + 1) & mask
+		}
+		j := dc.idx[p] - 1
+		if j < 0 {
 			buf = append(buf, 0)
 			buf = putKey(buf, k)
 			buf = binary.AppendUvarint(buf, sn.Upper[i])
@@ -126,14 +151,13 @@ func (dc *DeltaCoder[K]) DecodeDelta(dst *Snapshot[K], b []byte, base *Snapshot[
 	}
 	dc.used = dc.used[:base.Len()]
 	dc.round++
-	if dc.round == 0 { // wrapped: clear stale stamps
+	if dc.round <= 0 { // wrapped: clear stale stamps
 		clear(dc.used)
+		clear(dc.seen)
 		dc.round = 1
 	}
-	if dc.seen == nil {
-		dc.seen = make(map[K]int32)
-	} else {
-		clear(dc.seen)
+	if dc.hash == nil {
+		dc.hash = hashFuncFor[K]()
 	}
 	dst.reset()
 	dst.Cap = int(capacity)
@@ -209,16 +233,47 @@ func (dc *DeltaCoder[K]) DecodeDelta(dst *Snapshot[K], b []byte, base *Snapshot[
 			return nil, errors.New("spacesaving: snapshot delta upper bounds not sorted")
 		}
 		prevUp = up
-		if _, dup := dc.seen[k]; dup {
+		if dc.markSeen(dst.Keys, k) {
 			return nil, errors.New("spacesaving: duplicate key in snapshot delta")
 		}
-		dc.seen[k] = int32(i)
 		dst.Keys = append(dst.Keys, k)
 		dst.Upper = append(dst.Upper, up)
 		dst.Lower = append(dst.Lower, lo)
 	}
 	dst.gen = snapGenCounter.Add(1)
 	return b, nil
+}
+
+// markSeen records k, about to be appended to keys, in the duplicate-key
+// table, and reports whether keys already holds it. The table doubles (and
+// re-stamps keys) when it would pass half full, so its size follows the
+// entries actually decoded, never the header's claim.
+func (dc *DeltaCoder[K]) markSeen(keys []K, k K) bool {
+	if 2*(len(keys)+1) > len(dc.seen) {
+		size := max(16, 2*len(dc.seen))
+		for size < 2*(len(keys)+1) {
+			size <<= 1
+		}
+		dc.seen = make([]seenSlot, size)
+		mask := uint32(size - 1)
+		for i, key := range keys {
+			p := dc.hash(key) & mask
+			for dc.seen[p].round == dc.round {
+				p = (p + 1) & mask
+			}
+			dc.seen[p] = seenSlot{round: dc.round, pos: int32(i)}
+		}
+	}
+	mask := uint32(len(dc.seen) - 1)
+	p := dc.hash(k) & mask
+	for dc.seen[p].round == dc.round {
+		if keys[dc.seen[p].pos] == k {
+			return true
+		}
+		p = (p + 1) & mask
+	}
+	dc.seen[p] = seenSlot{round: dc.round, pos: int32(len(keys))}
+	return false
 }
 
 // CopyFrom makes sn a deep copy of src, reusing sn's arrays. The copy is a

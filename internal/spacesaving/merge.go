@@ -15,9 +15,9 @@ package spacesaving
 // a freshly built summary.
 //
 // Merge materializes a standalone Summary and allocates accordingly; the
-// query paths (core.MergeOutput, the sharded aggregator) instead reuse a
-// Merger over Snapshots, which performs the same combination with no
-// steady-state allocation.
+// snapshot paths (core.SnapshotMerger, the query's lazily merged nodes)
+// instead reuse a Merger over Snapshots, which performs the same
+// combination with no steady-state allocation.
 func Merge[K comparable](a, b *Summary[K], capacity int) *Summary[K] {
 	if capacity < 1 {
 		panic("spacesaving: capacity must be >= 1")

@@ -279,6 +279,9 @@ func (m *Merger[K]) MergeInto(dst *Snapshot[K], capacity int) *Snapshot[K] {
 		dropMax = m.excess[kept[capacity]] + m.minSum
 		kept = kept[:capacity]
 	}
+	dst.Keys = slices.Grow(dst.Keys, len(kept))
+	dst.Upper = slices.Grow(dst.Upper, len(kept))
+	dst.Lower = slices.Grow(dst.Lower, len(kept))
 	for _, j := range kept {
 		dst.Keys = append(dst.Keys, m.keys[j])
 		dst.Upper = append(dst.Upper, m.excess[j]+m.minSum)

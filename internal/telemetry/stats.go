@@ -71,18 +71,23 @@ func (s *WorkerStats) Register(r *Registry, labels string) {
 }
 
 // QueryStats is the query-side block of a Sharded monitor, owned by the
-// aggregation mutex: published-epoch pinning and merge bookkeeping.
+// aggregation mutex: published-epoch pinning, read cost and merge
+// bookkeeping.
 type QueryStats struct {
-	Queries    Cell // HeavyHitters / Snapshot evaluations
-	PinRetries Cell // pin-then-verify retries against racing publications
-	Hits       Cell // result size of the last heavy-hitters query
+	Queries    Cell      // HeavyHitters / Snapshot evaluations
+	PinRetries Cell      // pin-then-verify retries against racing publications
+	NodeMerges Cell      // lattice nodes a query or watch tick merged in full
+	Hits       Cell      // result size of the last heavy-hitters query
+	Latency    Histogram // wall time of a HeavyHitters query
 }
 
 // Register wires the query block.
 func (s *QueryStats) Register(r *Registry, labels string) {
 	r.Counter("rhhh_queries_total", labels, "Heavy-hitter query and snapshot evaluations.", &s.Queries)
 	r.Counter("rhhh_query_pin_retries_total", labels, "Publication-pin retries against racing publications.", &s.PinRetries)
+	r.Counter("rhhh_query_node_merges_total", labels, "Lattice nodes a query or watch tick merged in full because the read went past the node's head.", &s.NodeMerges)
 	r.Gauge("rhhh_query_hits", labels, "Result size of the last heavy-hitters query.", &s.Hits)
+	r.Histogram("rhhh_query_seconds", labels, "Wall time of a heavy-hitters query.", &s.Latency)
 }
 
 // WatchStats is the standing-query block, owned by the watch hub's mutex.

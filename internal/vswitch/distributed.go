@@ -254,22 +254,20 @@ type Collector struct {
 
 	// Reporting senders: per-sender whole-state replicas plus the acked
 	// report protocol state that keeps each replica consistent under loss,
-	// reorder and sender restarts. Merged with the sample-fed instances at
-	// query time; all merge scratch is reused across queries.
-	senders  map[uint16]*senderState
-	frags    map[uint16]*fragAssembly // lazily built 'F' reassembly buffers
-	epoch    uint32                   // collector incarnation; bumped by Restore (fail-over)
-	stats    CollectorStats
-	dcodec   core.DeltaCodec[uint64]
-	order    []uint16 // scratch: sender ids in deterministic merge order
-	local    core.EngineSnapshot[uint64]
-	merged   core.EngineSnapshot[uint64]
-	mergeBuf []*core.EngineSnapshot[uint64]
-	sm       core.SnapshotMerger[uint64]
+	// reorder and sender restarts. Read together with the sample-fed
+	// instances at query time; all query scratch is reused across queries.
+	senders map[uint16]*senderState
+	frags   map[uint16]*fragAssembly // lazily built 'F' reassembly buffers
+	epoch   uint32                   // collector incarnation; bumped by Restore (fail-over)
+	stats   CollectorStats
+	dcodec  core.DeltaCodec[uint64]
+	order   []uint16 // scratch: sender ids in deterministic merge order
+	local   core.EngineSnapshot[uint64]
+	inputs  []*core.EngineSnapshot[uint64]
 
 	// Reusable extraction workspace shared by both query modes, plus a
 	// dirty flag so the local sample-fed state is only re-captured (and the
-	// merge and extraction only re-run) when new samples actually arrived.
+	// extraction only re-run) when new samples actually arrived.
 	ex         *core.Extractor[uint64]
 	localDirty bool
 	localBuilt bool
@@ -399,8 +397,8 @@ func (c *Collector) refreshLocalLocked(nTotal uint64) {
 	for i, s := range c.sums {
 		// The collector's summaries only ever absorb increments, so a
 		// node whose N matches the previous capture is unchanged — keep
-		// its copy and generation, and the merge re-merges only the
-		// nodes this batch of samples touched.
+		// its copy and generation, so a node merged by an earlier query
+		// stays merged unless this batch of samples touched it.
 		if c.localBuilt && c.local.Nodes[i].N == s.N() && c.local.Nodes[i].Gen() != 0 {
 			continue
 		}
@@ -427,26 +425,29 @@ func (c *Collector) outputLocked(theta float64) ([]core.Result[uint64], uint64) 
 		corr := core.SamplingCorrection(n, c.v, 1, c.delta)
 		return c.ex.Extract(c.inst, n, float64(c.v), corr, theta), nTotal
 	}
-	// Fold the sample-fed state and every sender's latest snapshot into one
-	// merged snapshot (deterministically: local state first, then senders in
-	// ascending id order), then run the standard snapshot query. The local
-	// capture is refreshed only when samples arrived since the last query;
-	// the merge and extraction recognize unchanged inputs on their own.
+	// Read the sample-fed state and every sender's latest snapshot as one
+	// union (deterministically: local state first, then senders in
+	// ascending id order), without building the merged snapshot: the
+	// extractor merges a node only when it reads past the node's head. The
+	// local capture is refreshed only when samples arrived since the last
+	// query; the extraction recognizes unchanged inputs on its own.
 	c.refreshLocalLocked(nTotal)
 	c.order = c.order[:0]
 	for id := range c.senders {
 		c.order = append(c.order, id)
 	}
 	slices.Sort(c.order)
-	c.mergeBuf = append(c.mergeBuf[:0], &c.local)
+	c.inputs = append(c.inputs[:0], &c.local)
+	weight := c.local.Weight
 	for _, id := range c.order {
-		c.mergeBuf = append(c.mergeBuf, c.senders[id].snap)
+		snap := c.senders[id].snap
+		c.inputs = append(c.inputs, snap)
+		weight += snap.Weight
 	}
-	merged := c.sm.Merge(&c.merged, c.mergeBuf...)
-	if merged.Weight == 0 {
+	if weight == 0 {
 		return nil, 0
 	}
-	return c.ex.ExtractSnapshot(merged, theta), merged.Weight
+	return c.ex.ExtractSnapshots(c.inputs, theta), weight
 }
 
 // checkSnapshotConfig validates that a reported snapshot matches the

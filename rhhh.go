@@ -492,9 +492,11 @@ func (im *impl[K]) watch(opts WatchOptions) (*Subscription, error) {
 		if !eng.Snapshottable() {
 			return nil, errors.New("rhhh: Watch requires a snapshot-capable backend (StreamSummary or CuckooHeavyKeeper)")
 		}
-		im.hub = newWatchHub(im.dom, im.split, im.v6, func() *core.EngineSnapshot[K] {
-			return eng.SnapshotInto(&im.hubSnap)
-		})
+		var one [1]*core.EngineSnapshot[K]
+		im.hub = newWatchHub(im.dom, im.split, im.v6, func() []*core.EngineSnapshot[K] {
+			one[0] = eng.SnapshotInto(&im.hubSnap)
+			return one[:]
+		}, nil)
 		if im.watchTM != nil {
 			im.hub.instrument(im.watchTM)
 		}

@@ -20,11 +20,12 @@ import (
 // atomic read-modify-write operations on the hot path. Each worker
 // periodically publishes an immutable, epoch-versioned snapshot of its engine
 // through an atomic pointer (every PublishPackets packets or PublishBatches
-// batch calls, or immediately on Sync); queries and standing watches load the
-// latest published snapshot set and merge it with a reusable
-// core.SnapshotMerger without ever touching a producer — no shard pause, no
-// capture phase against live engines. The union keeps the paper's guarantees
-// with N equal to the combined stream weight (see Snapshot and
+// batch calls, or immediately on Sync); queries and standing watches pin the
+// latest published snapshot set and read it as one union
+// (core.Extractor.ExtractSnapshots, bit-identical to extracting from its
+// core.SnapshotMerger merge) without ever touching a producer — no shard
+// pause, no capture phase against live engines. The union keeps the paper's
+// guarantees with N equal to the combined stream weight (see Snapshot and
 // core.SnapshotMerger).
 //
 // Bounded staleness: a query observes every packet up to each worker's most
@@ -456,9 +457,11 @@ func (s *Sharded) Psi() float64 { return s.workers[0].m.Psi() }
 func (s *Sharded) Converged() bool { return float64(s.N()) >= s.Psi() }
 
 // HeavyHitters answers the HHH query over the union stream as of each
-// worker's latest publication. Producers are never touched: the query loads
-// the published snapshot set and merges and extracts on reused buffers.
-// Concurrent HeavyHitters calls serialize with each other.
+// worker's latest publication. Producers are never touched: the query pins
+// the published snapshot set and extracts from their union in place, on
+// reused buffers, merging a lattice node only when the read goes past the
+// node's head (see core.Extractor.ExtractSnapshots). Concurrent HeavyHitters
+// calls serialize with each other.
 //
 // The returned slice is the aggregator's reusable query buffer: treat it as
 // read-only, valid until the next HeavyHitters call — copy it (e.g. with
@@ -506,32 +509,27 @@ type shardAgg interface {
 	applyCheckpoint(full []byte, segs [][]byte) error
 }
 
-// aggState implements shardAgg over carrier type K with a reusable merger and
-// a reusable extractor+converter — a warm query allocates nothing across
-// collect, merge, extraction and rendering. Because publications carry
-// per-node mutation generations (unchanged nodes share buffers and
-// generations across epochs), a query after a small traffic delta re-merges
-// and re-indexes only the touched nodes, and a query with no new publications
-// short-circuits entirely.
+// aggState implements shardAgg over carrier type K with a reusable extractor
+// and converter — a warm query allocates nothing across collect, extraction
+// and rendering. A query reads the pinned publications directly through
+// Extractor.ExtractSnapshots, which merges a node only when the procedure
+// reads past its head, and a query with no new publications short-circuits
+// entirely. The merger serves Snapshot alone.
 type aggState[K comparable] struct {
 	im      *impl[K]
 	engines []*core.Engine[K]
 	pinned  []*core.PubSlot[K]
 	ptrs    []*core.EngineSnapshot[K]
 	sm      core.SnapshotMerger[K]
-	merged  core.EngineSnapshot[K]
 	ex      *core.Extractor[K]
 	conv    converter[K]
 
-	// Watch-path collect+merge scratch, separate from the query path's so
-	// the two destinations keep their own unchanged-merge caches warm; the
-	// watch hub serializes captures on its own lock.
+	// Watch-path pin scratch, separate from the query path's: the watch hub
+	// serializes its ticks on its own lock.
 	wpinned []*core.PubSlot[K]
 	wptrs   []*core.EngineSnapshot[K]
-	wsm     core.SnapshotMerger[K]
-	wmerged core.EngineSnapshot[K]
 
-	// Checkpoint scratch, owned by aggMu holders. ckptMerged is a third
+	// Checkpoint scratch, owned by aggMu holders. ckptMerged is a second
 	// merge destination (nothing else overwrites it between an append and
 	// its commit, which bracket a disk write outside the lock); ckptBase /
 	// ckptGens are the last durably committed state — the delta-encoding
@@ -546,8 +544,8 @@ type aggState[K comparable] struct {
 
 	// qtm is the query-path telemetry block (nil when uninstrumented),
 	// mutated only under the owning Sharded's aggMu — except the watch
-	// capture closure's pin-retry accounting, which uses the cell's atomic
-	// Add under the hub lock.
+	// tick's pin-retry and node-merge accounting, which uses the cells'
+	// atomic Add under the hub lock.
 	qtm *telemetry.QueryStats
 }
 
@@ -595,8 +593,7 @@ func (a *aggState[K]) publisher(i int) (func(prev any) (any, uint64), func() int
 // pin-then-verify handshake per worker: load the cell, pin the slot, re-load
 // — if the published epoch advanced by 2 or more in between, the ring may
 // already be recycling that slot's buffers, so unpin and retry. Callers must
-// unpinPubs as soon as they are done reading (the merge copies everything it
-// needs).
+// unpinPubs as soon as they are done reading.
 func pinPubs[K comparable](workers []*Worker, slots []*core.PubSlot[K], ptrs []*core.EngineSnapshot[K]) ([]*core.PubSlot[K], []*core.EngineSnapshot[K], int) {
 	slots, ptrs = slots[:0], ptrs[:0]
 	retries := 0
@@ -623,39 +620,45 @@ func unpinPubs[K comparable](slots []*core.PubSlot[K]) {
 	}
 }
 
-// query merges the latest published snapshot set (reusing all merge scratch)
-// and runs the Output procedure — entirely against pinned publications,
-// never against live engines. The pins are released right after the merge:
-// the merged destination owns all of its buffers.
+// query runs the Output procedure over the latest published snapshot set —
+// entirely against pinned publications, never against live engines. The
+// pins are held until extraction ends: the extractor reads the
+// publications in place.
 func (a *aggState[K]) query(workers []*Worker, theta float64) []HeavyHitter {
+	var t0 time.Time
+	var merges0 uint64
+	if a.qtm != nil {
+		t0, merges0 = time.Now(), a.ex.NodeMerges()
+	}
 	var retries int
 	a.pinned, a.ptrs, retries = pinPubs(workers, a.pinned, a.ptrs)
-	merged := a.sm.Merge(&a.merged, a.ptrs...)
+	rs := a.ex.ExtractSnapshots(a.ptrs, theta)
 	unpinPubs(a.pinned)
-	res := a.conv.convert(a.im.dom, a.im.split, a.ex.ExtractSnapshot(merged, theta))
+	res := a.conv.convert(a.im.dom, a.im.split, rs)
 	if a.qtm != nil {
 		a.qtm.Queries.Add(1)
 		a.qtm.PinRetries.Add(uint64(retries))
+		a.qtm.NodeMerges.Add(a.ex.NodeMerges() - merges0)
 		a.qtm.Hits.Store(uint64(len(res)))
+		a.qtm.Latency.ObserveSince(t0)
+		a.qtm.Latency.Publish()
 	}
 	return res
 }
 
-// freshSnapshot merges the latest published set through the query path's
-// warm merger and destination, then deep-copies the result into a new
-// snapshot state: it escapes to the caller, so it shares no buffers with the
-// aggregator or the publication rings.
+// freshSnapshot merges the latest published set through the warm merger
+// straight into a new snapshot state: it escapes to the caller, so it shares
+// no buffers with the aggregator or the publication rings.
 func (a *aggState[K]) freshSnapshot(workers []*Worker) snapCore {
 	var retries int
 	a.pinned, a.ptrs, retries = pinPubs(workers, a.pinned, a.ptrs)
-	merged := a.sm.Merge(&a.merged, a.ptrs...)
+	st := &snapState[K]{dom: a.im.dom, split: a.im.split}
+	a.sm.Merge(&st.es, a.ptrs...)
 	unpinPubs(a.pinned)
 	if a.qtm != nil {
 		a.qtm.Queries.Add(1)
 		a.qtm.PinRetries.Add(uint64(retries))
 	}
-	st := &snapState[K]{dom: a.im.dom, split: a.im.split}
-	st.es.CopyFrom(merged)
 	return st
 }
 
@@ -729,21 +732,26 @@ func (a *aggState[K]) applyCheckpoint(full []byte, segs [][]byte) error {
 	return nil
 }
 
-// watchHub builds the sharded watch hub: each capture pins the latest
-// published snapshot set and merges it on the hub's own scratch — producers
-// are never paused, and the watch driver no longer contends with queries.
-// Captures serialize on the hub lock.
+// watchHub builds the sharded watch hub: each tick pins the latest published
+// snapshot set once for every subscription, and unpins it after the last
+// extraction — producers are never paused, and the watch driver does not
+// contend with queries. Ticks serialize on the hub lock.
 func (a *aggState[K]) watchHub(s *Sharded) watchCtl {
-	return newWatchHub(a.im.dom, a.im.split, a.im.v6, func() *core.EngineSnapshot[K] {
+	capture := func() []*core.EngineSnapshot[K] {
 		var retries int
 		a.wpinned, a.wptrs, retries = pinPubs(s.workers, a.wpinned, a.wptrs)
-		merged := a.wsm.Merge(&a.wmerged, a.wptrs...)
-		unpinPubs(a.wpinned)
 		if retries != 0 && a.qtm != nil {
 			a.qtm.PinRetries.Add(uint64(retries))
 		}
-		return merged
-	})
+		return a.wptrs
+	}
+	release := func(merges uint64) {
+		unpinPubs(a.wpinned)
+		if a.qtm != nil {
+			a.qtm.NodeMerges.Add(merges)
+		}
+	}
+	return newWatchHub(a.im.dom, a.im.split, a.im.v6, capture, release)
 }
 
 // Watch registers a standing query over the union stream: a driver goroutine

@@ -16,14 +16,15 @@ import (
 // re-reading mostly unchanged sets, a subscriber registers once and receives
 // the *changes* — a prefix became a hierarchical heavy hitter, one retired,
 // one's estimate moved. Every query surface serves them from the same
-// machinery: each tick captures one snapshot, runs the retained Extractor per
-// subscription (the unchanged-state shortcut makes idle ticks ~free), and
-// diffs against the subscription's last reported set in internal/core.
+// machinery: each tick captures the state once — one snapshot, or a pinned
+// set of published snapshots — runs the retained Extractor per subscription
+// (the unchanged-state shortcut makes idle ticks ~free), and diffs against
+// the subscription's last reported set in internal/core.
 //
 //   - Monitor.Watch + Monitor.Tick: explicit ticks on the caller's schedule
 //     (the monitor is single-threaded, so ticks share its goroutine);
 //   - Sharded.Watch: a driver goroutine ticks on the capture interval,
-//     pausing one shard at a time exactly like HeavyHitters;
+//     reading the workers' latest publications exactly like HeavyHitters;
 //   - Windowed.Watch: ticks on each completed (sub-)window, so deltas compare
 //     consecutive windows — the change-detection deployment;
 //   - vswitch.Collector.Watch: the distributed collector ships the same
@@ -134,14 +135,17 @@ type watchCtl interface {
 }
 
 // watchHub drives the standing-query subscriptions of one query surface:
-// per tick it captures the surface's state once and runs every
-// subscription's extract → filter → diff → deliver pipeline against it.
+// per tick it captures the surface's state once — the snapshots whose union
+// it reads — and runs every subscription's extract → filter → diff →
+// deliver pipeline against it. release, when set, ends the capture after
+// the last extraction and is told how many nodes the tick merged in full.
 type watchHub[K comparable] struct {
 	mu      sync.Mutex
 	dom     *hierarchy.Domain[K]
 	split   func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix)
 	ipv6    bool
-	capture func() *core.EngineSnapshot[K]
+	capture func() []*core.EngineSnapshot[K]
+	release func(merges uint64)
 	subs    []*subState[K]
 	ready   []*subState[K] // scratch: the tick's subscriptions with a delta
 	seq     uint64
@@ -165,7 +169,7 @@ func (h *watchHub[K]) instrument(tm *telemetry.WatchStats) {
 }
 
 // subState is the per-subscription workspace: its own Extractor (so the
-// unchanged-state shortcut and the incremental seed apply per θ), its own
+// unchanged-state shortcut and the cached merged nodes apply per θ), its own
 // Differ (the hysteresis baseline is per subscriber), and reused filter and
 // conversion buffers — a tick that emits nothing allocates nothing.
 type subState[K comparable] struct {
@@ -183,9 +187,10 @@ func newWatchHub[K comparable](
 	dom *hierarchy.Domain[K],
 	split func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix),
 	ipv6 bool,
-	capture func() *core.EngineSnapshot[K],
+	capture func() []*core.EngineSnapshot[K],
+	release func(merges uint64),
 ) *watchHub[K] {
-	return &watchHub[K]{dom: dom, split: split, ipv6: ipv6, capture: capture}
+	return &watchHub[K]{dom: dom, split: split, ipv6: ipv6, capture: capture, release: release}
 }
 
 func (h *watchHub[K]) register(opts WatchOptions) (*Subscription, error) {
@@ -311,34 +316,9 @@ func (h *watchHub[K]) tick() {
 	if h.tm != nil {
 		t0 = time.Now()
 	}
-	es := h.capture()
 	h.seq++
 	h.ready = h.ready[:0]
-	for _, st := range h.subs {
-		theta := st.opts.Theta
-		if st.opts.AutoThetaK > 0 {
-			theta = es.SuggestTheta(h.dom, st.opts.AutoThetaK)
-		}
-		var rs []core.Result[K]
-		if es.Weight > 0 {
-			rs = st.ex.ExtractSnapshot(es, theta)
-		}
-		d := st.differ.Diff(st.filter(h, rs), st.opts.MinDelta)
-		if d.Empty() {
-			continue
-		}
-		h.delivered++
-		st.out = Delta{
-			Seq:      h.seq,
-			N:        es.Weight,
-			Theta:    theta,
-			Dropped:  st.dropped,
-			Admitted: st.convA.convert(h.dom, h.split, d.Admitted),
-			Retired:  st.convR.convert(h.dom, h.split, d.Retired),
-			Updated:  st.convU.convert(h.dom, h.split, d.Updated),
-		}
-		h.ready = append(h.ready, st)
-	}
+	h.evaluate()
 	if h.tm != nil {
 		h.publishTelemetry(t0)
 	}
@@ -353,6 +333,55 @@ func (h *watchHub[K]) tick() {
 		}
 		h.tm.Drops.Store(drops)
 	}
+}
+
+// evaluate captures the state and runs every subscription's extraction and
+// diff against it, building the deltas to deliver; the capture is released
+// before any delivery.
+func (h *watchHub[K]) evaluate() {
+	snaps := h.capture()
+	if h.release != nil {
+		merges := h.nodeMerges()
+		defer func() { h.release(h.nodeMerges() - merges) }()
+	}
+	var n uint64
+	for _, s := range snaps {
+		n += s.Weight
+	}
+	for _, st := range h.subs {
+		theta := st.opts.Theta
+		if st.opts.AutoThetaK > 0 {
+			theta = st.ex.SuggestTheta(snaps, st.opts.AutoThetaK)
+		}
+		var rs []core.Result[K]
+		if n > 0 {
+			rs = st.ex.ExtractSnapshots(snaps, theta)
+		}
+		d := st.differ.Diff(st.filter(h, rs), st.opts.MinDelta)
+		if d.Empty() {
+			continue
+		}
+		h.delivered++
+		st.out = Delta{
+			Seq:      h.seq,
+			N:        n,
+			Theta:    theta,
+			Dropped:  st.dropped,
+			Admitted: st.convA.convert(h.dom, h.split, d.Admitted),
+			Retired:  st.convR.convert(h.dom, h.split, d.Retired),
+			Updated:  st.convU.convert(h.dom, h.split, d.Updated),
+		}
+		h.ready = append(h.ready, st)
+	}
+}
+
+// nodeMerges sums the subscriptions' lifetime full node merges.
+func (h *watchHub[K]) nodeMerges() uint64 {
+	var m uint64
+	for _, st := range h.subs {
+		m += st.ex.NodeMerges()
+	}
+	return m
 }
 
 // publishTelemetry surfaces the tick's counters and latency. Runs under

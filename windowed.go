@@ -421,13 +421,16 @@ func windowedHub[K comparable](w *Windowed, im *impl[K]) (watchCtl, error) {
 		return nil, errors.New("rhhh: Watch requires the RHHH algorithm")
 	}
 	var buf core.EngineSnapshot[K]
-	capture := func() *core.EngineSnapshot[K] {
+	var one [1]*core.EngineSnapshot[K]
+	capture := func() []*core.EngineSnapshot[K] {
 		if w.k > 1 {
-			return &w.merged.impl.(*snapState[K]).es
+			one[0] = &w.merged.impl.(*snapState[K]).es
+		} else {
+			one[0] = eng.SnapshotInto(&buf)
 		}
-		return eng.SnapshotInto(&buf)
+		return one[:]
 	}
-	return newWatchHub(im.dom, im.split, im.v6, capture), nil
+	return newWatchHub(im.dom, im.split, im.v6, capture, nil), nil
 }
 
 func (w *Windowed) flush() {
