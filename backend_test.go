@@ -12,7 +12,7 @@ func TestBackendString(t *testing.T) {
 	for b, want := range map[rhhh.Backend]string{
 		rhhh.StreamSummary:     "stream-summary",
 		rhhh.CuckooHeavyKeeper: "chk",
-		rhhh.HeapSpaceSaving:   "heap",
+		rhhh.Backend(2):        "backend(2)",
 	} {
 		if got := b.String(); got != want {
 			t.Errorf("Backend(%d).String() = %q, want %q", b, got, want)
@@ -187,26 +187,5 @@ func TestCHKWatch(t *testing.T) {
 	m.Tick()
 	if !admitted["181.7.20.*"] {
 		t.Fatalf("watch never admitted 181.7.20.*: %v", admitted)
-	}
-}
-
-// TestHeapBackendEndToEnd: the heap backend remains selectable from the
-// public config and produces a sane HHH set.
-func TestHeapBackendEndToEnd(t *testing.T) {
-	cfg := chkConfig(13)
-	cfg.Backend = rhhh.HeapSpaceSaving
-	m := rhhh.MustNew(cfg)
-	feedHeavy(150_000, 14, m.Update)
-	requireHeavyPrefix(t, m.HeavyHitters(0.2))
-}
-
-// TestWatchRequiresSnapshotCapableBackend: heap-backed monitors cannot host
-// standing queries — the error is returned, not panicked.
-func TestWatchRequiresSnapshotCapableBackend(t *testing.T) {
-	cfg := chkConfig(15)
-	cfg.Backend = rhhh.HeapSpaceSaving
-	m := rhhh.MustNew(cfg)
-	if _, err := m.Watch(rhhh.WatchOptions{Theta: 0.1}); err == nil {
-		t.Fatal("Watch on the heap backend must error")
 	}
 }

@@ -1,10 +1,11 @@
-// Command hhh runs a hierarchical heavy hitters algorithm over a pcap file
-// or a synthetic trace and prints the HHH set.
+// Command hhh runs RHHH over a pcap file or a synthetic trace and prints the
+// HHH set. The paper's deterministic baselines (MST and the ancestry tries)
+// run in cmd/hhhbench (-fig 4, 5 and 6).
 //
 // Examples:
 //
 //	hhh -pcap capture.pcap -dims 2 -theta 0.01
-//	hhh -profile chicago16 -n 5000000 -dims 1 -gran bits -algo mst
+//	hhh -profile chicago16 -n 5000000 -dims 1 -gran bits -algo 10-rhhh
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"syscall"
 
 	"rhhh"
@@ -36,21 +38,24 @@ func main() {
 		dims     = flag.Int("dims", 2, "hierarchy dimensions: 1 (source) or 2 (source x destination)")
 		gran     = flag.String("gran", "bytes", "granularity: bytes|nibbles|bits")
 		v6       = flag.Bool("ipv6", false, "use 128-bit hierarchies")
-		algo     = flag.String("algo", "rhhh", "algorithm: rhhh|10-rhhh|mst|full|partial")
+		algo     = flag.String("algo", "rhhh", "algorithm: rhhh (V = H) or 10-rhhh (V = 10·H)")
 		epsilon  = flag.Float64("epsilon", 0.001, "estimation error ε")
 		delta    = flag.Float64("delta", 0.001, "failure probability δ")
 		theta    = flag.Float64("theta", 0.01, "HHH threshold θ")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		weighted = flag.Bool("bytes", false, "weight packets by byte count instead of counting packets")
-		ckpt     = flag.String("checkpoint", "", "snapshot checkpoint file: restored on start if present, written periodically and at exit (RHHH only)")
+		ckpt     = flag.String("checkpoint", "", "snapshot checkpoint file: restored on start if present, written periodically and at exit")
 		ckptEvry = flag.Uint64("checkpoint-every", 1_000_000, "packets between checkpoint writes (0 = only at exit)")
-		watch    = flag.Bool("watch", false, "log standing-query events (admitted/retired/updated HHH prefixes) during replay (RHHH only)")
+		watch    = flag.Bool("watch", false, "log standing-query events (admitted/retired/updated HHH prefixes) during replay")
 		watchEvy = flag.Uint64("watch-every", 100_000, "packets between standing-query ticks")
 		watchK   = flag.Int("watch-k", 0, "auto-tune the watch threshold to track the top k keys instead of -theta")
-		backend  = flag.String("backend", "ss", "RHHH counter backend: ss (Space Saving stream-summary), chk (Cuckoo Heavy Keeper), heap")
-		metrics  = flag.String("metrics-addr", "", "optional listen address for Prometheus /metrics during the replay (RHHH only; empty = disabled)")
+		backend  = flag.String("backend", "ss", "counter backend: ss (Space Saving stream-summary) or chk (Cuckoo Heavy Keeper)")
+		metrics  = flag.String("metrics-addr", "", "optional listen address for Prometheus /metrics during the replay (empty = disabled)")
 	)
 	flag.Parse()
+	if *pcapPath == "" && !slices.Contains(trace.ProfileNames(), *profile) {
+		fatalf("unknown profile %q (want one of %s)", *profile, strings.Join(trace.ProfileNames(), ", "))
+	}
 
 	cfg := rhhh.Config{
 		Dims: *dims, IPv6: *v6,
@@ -66,30 +71,16 @@ func main() {
 	default:
 		fatalf("unknown granularity %q", *gran)
 	}
-	switch *algo {
-	case "rhhh":
-		cfg.Algorithm = rhhh.RHHH
-	case "10-rhhh":
-		cfg.Algorithm = rhhh.RHHH
-		// V is set after we know H; mark with a sentinel multiplier.
-	case "mst":
-		cfg.Algorithm = rhhh.MST
-	case "full":
-		cfg.Algorithm = rhhh.FullAncestry
-	case "partial":
-		cfg.Algorithm = rhhh.PartialAncestry
-	default:
-		fatalf("unknown algorithm %q", *algo)
+	if *algo != "rhhh" && *algo != "10-rhhh" {
+		fatalf("unknown algorithm %q (want rhhh or 10-rhhh; hhhbench -fig 4|5|6 runs the MST and ancestry baselines)", *algo)
 	}
 	switch *backend {
 	case "ss":
 		cfg.Backend = rhhh.StreamSummary
 	case "chk":
 		cfg.Backend = rhhh.CuckooHeavyKeeper
-	case "heap":
-		cfg.Backend = rhhh.HeapSpaceSaving
 	default:
-		fatalf("unknown backend %q", *backend)
+		fatalf("unknown backend %q (want ss or chk)", *backend)
 	}
 	if *algo == "10-rhhh" {
 		// Build a probe monitor to learn H, then rebuild with V=10H.
@@ -102,9 +93,6 @@ func main() {
 	mon, err := rhhh.New(cfg)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *ckpt != "" && cfg.Algorithm != rhhh.RHHH {
-		fatalf("-checkpoint requires the RHHH algorithm")
 	}
 	if *ckpt != "" {
 		if restored, err := restoreCheckpoint(mon, *ckpt); err != nil {
@@ -133,9 +121,6 @@ func main() {
 	}
 
 	if *watch {
-		if cfg.Algorithm != rhhh.RHHH {
-			fatalf("-watch requires the RHHH algorithm")
-		}
 		if *watchEvy == 0 {
 			fatalf("-watch-every must be positive")
 		}
@@ -220,8 +205,8 @@ replay:
 		}
 	}
 
-	fmt.Printf("algorithm=%s H=%d V=%d packets=%d N=%d psi=%.3g converged=%v\n",
-		mon.Algorithm(), mon.H(), mon.V(), count, mon.N(), mon.Psi(), mon.Converged())
+	fmt.Printf("algorithm=%s backend=%s H=%d V=%d packets=%d N=%d psi=%.3g converged=%v\n",
+		*algo, cfg.Backend, mon.H(), mon.V(), count, mon.N(), mon.Psi(), mon.Converged())
 	// Copy before sorting: HeavyHitters returns the monitor's reusable
 	// query buffer.
 	hits := slices.Clone(mon.HeavyHitters(*theta))

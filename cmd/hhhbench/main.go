@@ -1,6 +1,7 @@
 // Command hhhbench regenerates the paper's evaluation figures. Each -fig
-// value prints the rows/series of the corresponding figure; see
-// EXPERIMENTS.md for how the shapes compare to the paper.
+// value prints the rows/series of the corresponding figure; the README's
+// "Reproducing the paper" section lists every value. It is the one command
+// that runs the deterministic baselines (MST and the ancestry tries).
 //
 // Usage:
 //

@@ -26,6 +26,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -51,7 +53,7 @@ func main() {
 		theta     = flag.Float64("theta", 0.01, "default HHH threshold θ for /query and /watch")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
 		vParam    = flag.Int("v", 0, "RHHH performance parameter V (0 = H, e.g. 10*H for 10-RHHH)")
-		backend   = flag.String("backend", "ss", "counter backend: ss|chk|heap")
+		backend   = flag.String("backend", "ss", "counter backend: ss (Space Saving stream-summary) or chk (Cuckoo Heavy Keeper)")
 
 		queryLimit  = flag.Int("query-limit", 16, "max concurrent /query + /snapshot requests; excess shed with 503")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request deadline on /query and /snapshot")
@@ -64,11 +66,13 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "hard deadline for the graceful shutdown sequence")
 	)
 	flag.Parse()
+	if !slices.Contains(trace.ProfileNames(), *profile) {
+		fatalf("unknown profile %q (want one of %s)", *profile, strings.Join(trace.ProfileNames(), ", "))
+	}
 
 	cfg := rhhh.Config{
 		Dims:    *dims,
 		Epsilon: *epsilon, Delta: *delta, Seed: *seed, V: *vParam,
-		Algorithm: rhhh.RHHH,
 	}
 	switch *gran {
 	case "bytes":
@@ -85,10 +89,8 @@ func main() {
 		cfg.Backend = rhhh.StreamSummary
 	case "chk":
 		cfg.Backend = rhhh.CuckooHeavyKeeper
-	case "heap":
-		cfg.Backend = rhhh.HeapSpaceSaving
 	default:
-		fatalf("unknown backend %q", *backend)
+		fatalf("unknown backend %q (want ss or chk)", *backend)
 	}
 	if *workers < 1 {
 		fatalf("-workers must be positive")

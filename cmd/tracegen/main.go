@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,6 +30,9 @@ func main() {
 		ddos    = flag.String("ddos", "", "plant a DDoS aggregate: victimPrefix:fraction (e.g. 198.51.100.0/24:0.2)")
 	)
 	flag.Parse()
+	if !slices.Contains(trace.ProfileNames(), *profile) {
+		fatalf("unknown profile %q (want one of %s)", *profile, strings.Join(trace.ProfileNames(), ", "))
+	}
 
 	cfg := trace.Profile(*profile)
 	if *seed != 0 {

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -43,7 +44,7 @@ func main() {
 		delta    = flag.Float64("delta", 0.001, "failure probability δ")
 		theta    = flag.Float64("theta", 0.02, "HHH threshold for the final report")
 		duration = flag.Duration("duration", 2*time.Second, "how long to drive traffic")
-		profile  = flag.String("profile", "chicago16", "traffic profile")
+		profile  = flag.String("profile", "chicago16", "traffic profile: "+fmt.Sprint(trace.ProfileNames()))
 		udp      = flag.Bool("udp", false, "distributed mode: use loopback UDP instead of in-process transport")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		ckpt     = flag.String("checkpoint", "", "dataplane mode: engine snapshot checkpoint file, restored on start if present, written periodically and at exit")
@@ -62,6 +63,9 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "optional listen address for Prometheus /metrics (empty = disabled)")
 	)
 	flag.Parse()
+	if !slices.Contains(trace.ProfileNames(), *profile) {
+		fatalf("unknown profile %q (want one of %s)", *profile, strings.Join(trace.ProfileNames(), ", "))
+	}
 
 	// SIGTERM/SIGINT drain the run gracefully: the drive loop stops at the
 	// next pass boundary, then the normal exit path runs — final

@@ -8,31 +8,35 @@ import (
 )
 
 // ExampleMonitor demonstrates the core workflow: create a monitor, feed
-// packets, query heavy hitters. The deterministic MST algorithm is used so
-// the output is stable; swap Algorithm for rhhh.RHHH (the default) in
-// production.
+// packets, query heavy hitters. The stream runs past Psi, so the paper's
+// guarantees hold, and the fixed Seed makes the output reproducible.
 func ExampleMonitor() {
 	m := rhhh.MustNew(rhhh.Config{
-		Dims:      1,
-		Epsilon:   0.01,
-		Algorithm: rhhh.MST,
+		Dims:    1,
+		Epsilon: 0.05,
+		Delta:   0.05,
+		Seed:    1,
 	})
 
-	// 60 packets from one /24 (spread over hosts), 40 from random sources.
-	for i := 0; i < 60; i++ {
-		m.Update(netip.AddrFrom4([4]byte{203, 0, 113, byte(i)}), netip.Addr{})
+	// 60% of the packets come from one /24 (spread over its hosts), the
+	// rest from sources spread over the whole address space.
+	for i := 0; i < 20000; i++ {
+		if i%5 < 3 {
+			m.Update(netip.AddrFrom4([4]byte{203, 0, 113, byte(i)}), netip.Addr{})
+		} else {
+			m.Update(netip.AddrFrom4([4]byte{byte(7 * i), byte(11 * i), byte(13 * i), byte(17 * i)}), netip.Addr{})
+		}
 	}
-	for i := 0; i < 40; i++ {
-		m.Update(netip.AddrFrom4([4]byte{byte(7 * i), byte(11 * i), byte(13 * i), byte(17 * i)}), netip.Addr{})
-	}
+	fmt.Println("converged:", m.Converged())
 
-	// Only the /24 passes θ = 50%: the remaining 40 packets are spread too
-	// thin for any other prefix (including *) to add θ·N uncovered traffic.
+	// Only the /24 passes θ = 50%: the remaining 40% is spread too thin for
+	// any other prefix (including *) to add θ·N uncovered traffic.
 	for _, hh := range m.HeavyHitters(0.5) {
-		fmt.Printf("%s covers at least %.0f packets\n", hh.Text, hh.Lower)
+		fmt.Printf("%s carries about %.0f%% of the packets\n", hh.Text, 100*hh.Upper/float64(m.N()))
 	}
 	// Output:
-	// 203.0.113.* covers at least 60 packets
+	// converged: true
+	// 203.0.113.* carries about 60% of the packets
 }
 
 // ExamplePsi shows sizing a measurement interval: with the paper's

@@ -30,8 +30,8 @@ func TestCHKBackendSelected(t *testing.T) {
 	if eng.UsesConcreteBackend() {
 		t.Fatal("CHK engine also claims the Space Saving concrete path")
 	}
-	if !eng.Snapshottable() {
-		t.Fatal("CHK engine must be snapshottable")
+	if es := eng.Snapshot(); len(es.Nodes) != dom.Size() {
+		t.Fatalf("CHK snapshot has %d nodes, want %d", len(es.Nodes), dom.Size())
 	}
 }
 

@@ -246,11 +246,6 @@ func CountersFor(epsilon float64) int {
 // Domain returns the engine's lattice domain.
 func (e *Engine[K]) Domain() *hierarchy.Domain[K] { return e.dom }
 
-// Snapshottable reports whether the engine's backend supports SnapshotInto
-// and LoadSnapshot (the Space Saving and CHK backends do; interface-only
-// backends such as the heap and Count-Min do not).
-func (e *Engine[K]) Snapshottable() bool { return e.ss != nil || e.chk != nil }
-
 // N returns the number of packets processed.
 func (e *Engine[K]) N() uint64 { return e.packets }
 

@@ -24,20 +24,32 @@ func equalResults[K comparable](t *testing.T, label string, got, want []core.Res
 	}
 }
 
-// snapshotInstances rebuilds Instance adapters over a snapshot's per-node
-// state, so the map reference can answer the exact query the snapshot path
-// answers: LoadSnapshot restores candidate order and bounds bit-for-bit.
+// snapshotInstances wraps each of a snapshot's nodes in a read-only
+// snapNode, so the map reference answers the exact query the snapshot path
+// answers.
 func snapshotInstances[K comparable](es *core.EngineSnapshot[K]) []core.Instance[K] {
-	sums := make([]*spacesaving.Summary[K], len(es.Nodes))
+	inst := make([]core.Instance[K], len(es.Nodes))
 	for i := range es.Nodes {
-		capacity := es.Nodes[i].Cap
-		if capacity < 1 {
-			capacity = 1
-		}
-		sums[i] = spacesaving.New[K](capacity)
-		sums[i].LoadSnapshot(&es.Nodes[i])
+		inst[i] = snapNode[K]{&es.Nodes[i]}
 	}
-	return core.WrapSummaries(sums)
+	return inst
+}
+
+// snapNode is a read-only Instance over one snapshot node: the node's stored
+// order and bounds, and its Min for keys it does not hold. (Loading a
+// truncated merged node into a Summary would answer those with the smallest
+// kept count instead.)
+type snapNode[K comparable] struct{ sn *spacesaving.Snapshot[K] }
+
+func (a snapNode[K]) Increment(K)                 { panic("read-only") }
+func (a snapNode[K]) IncrementBy(K, uint64)       { panic("read-only") }
+func (a snapNode[K]) Bounds(k K) (uint64, uint64) { return a.sn.Bounds(k) }
+func (a snapNode[K]) Updates() uint64             { return a.sn.N }
+func (a snapNode[K]) Reset()                      { panic("read-only") }
+func (a snapNode[K]) Candidates(fn func(K, uint64, uint64)) {
+	for i, k := range a.sn.Keys {
+		fn(k, a.sn.Upper[i], a.sn.Lower[i])
+	}
 }
 
 // TestExtractorMatchesMapReference is the differential property test pinning
@@ -112,8 +124,8 @@ func corrOf[K comparable](es *core.EngineSnapshot[K]) float64 {
 
 // TestExtractorMergedSnapshots runs the differential test over merged
 // snapshots — the sharded/distributed query shape — including a repeated
-// merge into the same destination (the unchanged-input skip) and a merge
-// after one source advanced.
+// merge into the same destination (the unchanged-input skip), a merge after
+// one source advanced, and truncated merges.
 func TestExtractorMergedSnapshots(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	engs := make([]*core.Engine[uint64], 3)
@@ -151,6 +163,21 @@ func TestExtractorMergedSnapshots(t *testing.T) {
 	}
 	engs[1].SnapshotInto(&bufs[1])
 	check("merged grown") // one input advanced: incremental path over a merge
+
+	// Truncated merges: the union of W small engines (ε = 0.04) outgrows
+	// each node's capacity, so a merged node keeps only its top keys and
+	// its Min is the bound of the first one dropped. The reference must
+	// answer the keys it reads outside the merged node with that Min.
+	for _, w := range []int{2, 4} {
+		_, in := unionEngines(dom, "ss", w, 1, gen2D)
+		var tsm core.SnapshotMerger[uint64]
+		m := tsm.Merge(nil, in...)
+		inst := snapshotInstances(m)
+		for _, theta := range nStarThetas(in) {
+			want := extractMapRef(dom, inst, float64(m.Weight), float64(m.V), corrOf(m), theta)
+			equalResults(t, fmt.Sprintf("truncated W=%d θ=%.4g", w, theta), ex.ExtractSnapshot(m, theta), want)
+		}
+	}
 }
 
 // TestExtractorUnchangedSnapshotShortcut pins the warm shortcut: re-querying

@@ -67,8 +67,8 @@ func (es *EngineSnapshot[K]) Invalidate() {
 
 // SnapshotInto copies the engine's state into dst, reusing dst's buffers
 // (zero allocations once they have grown). A nil dst allocates. Only the
-// Space Saving (stream-summary) backend supports snapshots, matching the
-// merge path. Returns dst.
+// Space Saving (stream-summary) and CHK backends support snapshots; the
+// heap and Count-Min instances of the ablations panic. Returns dst.
 //
 // A repeat capture of an engine that has not absorbed any update (and has
 // not been Reset, Reseeded or restored) into the same dst skips the copy

@@ -49,11 +49,7 @@ func (c *unionChecker[K]) check(t *testing.T, label string, snaps []*core.Engine
 		l := fmt.Sprintf("%s θ=%.17g", label, theta)
 		want := core.NewExtractor(c.dom).ExtractSnapshot(merged, theta)
 		if c.mapRef {
-			inst := make([]core.Instance[K], len(merged.Nodes))
-			for i := range merged.Nodes {
-				inst[i] = snapNode[K]{&merged.Nodes[i]}
-			}
-			bitsEqual(t, l+" map reference", want, extractMapRef(c.dom, inst, float64(merged.Weight), float64(merged.V)/float64(merged.R), corrOf(merged), theta))
+			bitsEqual(t, l+" map reference", want, extractMapRef(c.dom, snapshotInstances(merged), float64(merged.Weight), float64(merged.V)/float64(merged.R), corrOf(merged), theta))
 		}
 		bitsEqual(t, l+" reused", c.ex.ExtractSnapshots(snaps, theta), want)
 		bitsEqual(t, l+" unchanged", c.ex.ExtractSnapshots(snaps, theta), want)
@@ -77,23 +73,6 @@ func (c *unionChecker[K]) check(t *testing.T, label string, snaps []*core.Engine
 func (c *unionChecker[K]) paths() [4]uint64 {
 	h, m, cp, r := c.ex.UnionPaths()
 	return [4]uint64{c.fresh[0] + h, c.fresh[1] + m, c.fresh[2] + cp, c.fresh[3] + r}
-}
-
-// snapNode is a read-only Instance over one snapshot node, so the map-based
-// reference extractor reads exactly the merged node: its stored order and
-// bounds, and its Min for keys it does not hold (loading a truncated merged
-// node into a Summary would answer those with the smallest kept count).
-type snapNode[K comparable] struct{ sn *spacesaving.Snapshot[K] }
-
-func (a snapNode[K]) Increment(K)                 { panic("read-only") }
-func (a snapNode[K]) IncrementBy(K, uint64)       { panic("read-only") }
-func (a snapNode[K]) Bounds(k K) (uint64, uint64) { return a.sn.Bounds(k) }
-func (a snapNode[K]) Updates() uint64             { return a.sn.N }
-func (a snapNode[K]) Reset()                      { panic("read-only") }
-func (a snapNode[K]) Candidates(fn func(K, uint64, uint64)) {
-	for i, k := range a.sn.Keys {
-		fn(k, a.sn.Upper[i], a.sn.Lower[i])
-	}
 }
 
 // nStarThetas returns θ values placing the union's N below N* (where the

@@ -40,10 +40,10 @@ func AblationMultiUpdate(cfg SweepConfig) []Table {
 		func(p sweepPoint) float64 { return p.Accuracy })
 }
 
-// AblationBackends compares per-update cost of the three HH backends the
-// engine supports: stream-summary Space Saving (O(1)), heap Space Saving
-// (O(log c)) and conservative Count-Min (d hashes) — the design choice
-// DESIGN.md calls out (the paper argues for Space Saving).
+// AblationBackends compares per-update cost of the four HH backends the
+// engine supports: stream-summary Space Saving (O(1)), CHK, heap Space
+// Saving (O(log c)) and conservative Count-Min (d hashes) — the paper
+// argues for Space Saving.
 func AblationBackends(cfg SpeedConfig) []Table {
 	cfg = cfg.withDefaults()
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)

@@ -1,8 +1,9 @@
 // Package experiments contains one driver per figure of the paper's
-// evaluation section (Figures 2–8) plus the ablations called out in
-// DESIGN.md. Every driver returns Tables — the rows/series the paper plots —
-// and cmd/hhhbench prints them. Absolute numbers differ from the paper's
-// testbed; EXPERIMENTS.md records both and compares shapes.
+// evaluation section (Figures 2–8) plus ablations of its design choices.
+// Every driver returns Tables — the rows/series the paper plots — and
+// cmd/hhhbench prints them. Absolute numbers differ from the paper's
+// testbed; the README's "Reproducing the paper" section lists every
+// figure and ablation.
 package experiments
 
 import (

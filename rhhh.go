@@ -1,7 +1,9 @@
 // Package rhhh implements Randomized Hierarchical Heavy Hitters (RHHH) from
 // "Constant Time Updates in Hierarchical Heavy Hitters" (Ben Basat, Einziger,
-// Friedman, Luizelli, Waisbard — SIGCOMM 2017), along with the deterministic
-// algorithms it was evaluated against.
+// Friedman, Luizelli, Waisbard — SIGCOMM 2017). Every Monitor, Sharded and
+// Windowed runs the one RHHH engine (internal/core); the deterministic
+// baselines the paper measures it against (MST and the ancestry tries, in
+// internal/baseline) are driven by cmd/hhhbench for Figures 4–6.
 //
 // A hierarchical heavy hitter (HHH) is an IP prefix — such as 181.7.0.0/16,
 // or the source/destination pair (181.7.0.0/16 → 10.0.0.0/8) — responsible
@@ -35,8 +37,6 @@ import (
 	"math"
 	"net/netip"
 
-	"rhhh/internal/baseline/ancestry"
-	"rhhh/internal/baseline/mst"
 	"rhhh/internal/core"
 	"rhhh/internal/hierarchy"
 	"rhhh/internal/stats"
@@ -69,37 +69,17 @@ func (g Granularity) hier() hierarchy.Granularity {
 }
 
 // Algorithm selects the measurement algorithm.
+//
+// Deprecated: RHHH is the only algorithm a Monitor runs, and New rejects
+// any other value. Leave Config.Algorithm unset. The paper's deterministic
+// baselines are in internal/baseline; hhhbench -fig 4|5|6 runs them.
 type Algorithm int
 
-// RHHH is the paper's O(1) randomized algorithm (default). MST is the
-// deterministic O(H) baseline of Mitzenmacher–Steinke–Thaler; FullAncestry
-// and PartialAncestry are the trie baselines of Cormode et al. The baselines
-// exist for comparison and for deployments that cannot tolerate the
-// convergence period.
-const (
-	RHHH Algorithm = iota
-	MST
-	FullAncestry
-	PartialAncestry
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case RHHH:
-		return "RHHH"
-	case MST:
-		return "MST"
-	case FullAncestry:
-		return "full-ancestry"
-	case PartialAncestry:
-		return "partial-ancestry"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
+// RHHH is the paper's O(1) randomized algorithm, the only Algorithm value.
+const RHHH Algorithm = 0
 
 // Backend selects the per-lattice-node counter structure of the RHHH
-// engine (ignored by the deterministic algorithms).
+// engine.
 type Backend int
 
 // StreamSummary is the paper's Space Saving Stream-Summary (default):
@@ -108,13 +88,11 @@ type Backend int
 // in a cuckoo table with exponential-decay eviction (after "Cuckoo Heavy
 // Keeper", arXiv 2412.12873): no bucket list and a cheaper eviction path,
 // at the price of probabilistic under-estimates — heavy-hitter recall is
-// empirical rather than guaranteed (see internal/chk). HeapSpaceSaving is
-// the O(log c) heap variant of Space Saving; it supports neither snapshots
-// nor Watch (Monitor.Snapshot panics, Watch errors).
+// empirical rather than guaranteed (see internal/chk). Both run every
+// surface: snapshots, merging, Sharded, Windowed, Watch and telemetry.
 const (
 	StreamSummary Backend = iota
 	CuckooHeavyKeeper
-	HeapSpaceSaving
 )
 
 func (b Backend) String() string {
@@ -123,16 +101,14 @@ func (b Backend) String() string {
 		return "stream-summary"
 	case CuckooHeavyKeeper:
 		return "chk"
-	case HeapSpaceSaving:
-		return "heap"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
 }
 
 // Config parameterizes a Monitor. Zero values get sensible defaults where a
-// default exists; Epsilon and Delta must be set explicitly (for RHHH) since
-// they determine memory and convergence.
+// default exists; Epsilon and Delta must be set explicitly since they
+// determine memory and convergence.
 type Config struct {
 	// Dims is 1 (source hierarchy) or 2 (source × destination).
 	Dims int
@@ -144,19 +120,21 @@ type Config struct {
 	// proportional to H/ε.
 	Epsilon float64
 	// Delta is the failure probability δ ∈ (0,1) of the probabilistic
-	// guarantees (ignored by the deterministic algorithms).
+	// guarantees; with Epsilon and V it sets the convergence bound ψ.
 	Delta float64
 	// V is RHHH's performance parameter (0 → H; larger is faster but
-	// converges proportionally slower). Ignored by other algorithms.
+	// converges proportionally slower).
 	V int
 	// R is the number of independent RHHH updates per packet
 	// (Corollary 6.8; 0 → 1).
 	R int
 	// Seed makes RHHH's randomized update path reproducible.
 	Seed uint64
-	// Algorithm selects the implementation (default RHHH).
+	// Algorithm must be RHHH (the zero value).
+	//
+	// Deprecated: RHHH is the only algorithm; see Algorithm.
 	Algorithm Algorithm
-	// Backend selects the RHHH engine's counter structure (default
+	// Backend selects the engine's counter structure (default
 	// StreamSummary; see Backend).
 	Backend Backend
 }
@@ -189,25 +167,31 @@ func (h HeavyHitter) String() string {
 // externally.
 type Monitor struct {
 	impl monImpl
+	eng  engine // impl's engine, for the calls that do not need its key type
 	cfg  Config
 }
 
-// monImpl abstracts over the four key types × four algorithms.
+// monImpl is the key-typed half of a Monitor: one impl per carrier type
+// (uint32, uint64, hierarchy.Addr, hierarchy.AddrPair).
 type monImpl interface {
 	update(src, dst hierarchy.Addr, w uint64)
 	updateBatch(srcs, dsts []netip.Addr, ws []uint64)
 	output(theta float64) []HeavyHitter
-	n() uint64
-	psi() float64
-	reset()
-	reseed(seed uint64)
 	snapshotInto(dst *Snapshot) *Snapshot
 	loadSnapshot(sc snapCore) error
-	size() int
-	vParam() int
 	watch(opts WatchOptions) (*Subscription, error)
 	tickWatch()
-	instrument(reg *telemetry.Registry) error
+	instrument(reg *telemetry.Registry)
+}
+
+// engine is the part of *core.Engine[K] that does not depend on K.
+type engine interface {
+	Weight() uint64
+	Psi() float64
+	H() int
+	V() int
+	Reset()
+	Reseed(seed uint64)
 }
 
 // New validates cfg and builds a Monitor.
@@ -218,55 +202,56 @@ func New(cfg Config) (*Monitor, error) {
 	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
 		return nil, errors.New("rhhh: Epsilon must be in (0, 1)")
 	}
-	if cfg.Algorithm == RHHH && !(cfg.Delta > 0 && cfg.Delta < 1) {
-		return nil, errors.New("rhhh: Delta must be in (0, 1) for RHHH")
+	if !(cfg.Delta > 0 && cfg.Delta < 1) {
+		return nil, errors.New("rhhh: Delta must be in (0, 1)")
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 0.01 // only used by RHHH; harmless default elsewhere
+	if cfg.R < 0 {
+		return nil, fmt.Errorf("rhhh: R must not be negative, got %d", cfg.R)
 	}
 	switch cfg.Granularity {
 	case Byte, Nibble, Bit:
 	default:
 		return nil, fmt.Errorf("rhhh: unknown granularity %d", int(cfg.Granularity))
 	}
-	switch cfg.Algorithm {
-	case RHHH, MST, FullAncestry, PartialAncestry:
+	if cfg.Algorithm != RHHH {
+		return nil, fmt.Errorf("rhhh: unknown algorithm %d (RHHH is the only one)", int(cfg.Algorithm))
+	}
+	var backend core.Backend
+	switch cfg.Backend {
+	case StreamSummary:
+		backend = core.SpaceSavingBackend
+	case CuckooHeavyKeeper:
+		backend = core.CHKBackend
 	default:
-		return nil, fmt.Errorf("rhhh: unknown algorithm %d", int(cfg.Algorithm))
+		return nil, fmt.Errorf("rhhh: unknown backend %d (want StreamSummary or CuckooHeavyKeeper)", int(cfg.Backend))
 	}
 
-	var impl monImpl
-	var err error
 	switch {
 	case cfg.Dims == 1 && !cfg.IPv6:
 		dom := hierarchy.NewIPv4OneDim(cfg.Granularity.hier())
-		impl, err = build(cfg, dom,
+		return build(cfg, backend, dom,
 			func(src, _ hierarchy.Addr) uint32 { return src.IPv4() },
 			split1v4)
 	case cfg.Dims == 2 && !cfg.IPv6:
 		dom := hierarchy.NewIPv4TwoDim(cfg.Granularity.hier())
-		impl, err = build(cfg, dom,
+		return build(cfg, backend, dom,
 			func(src, dst hierarchy.Addr) uint64 {
 				return hierarchy.Pack2D(src.IPv4(), dst.IPv4())
 			},
 			split2v4)
 	case cfg.Dims == 1 && cfg.IPv6:
 		dom := hierarchy.NewIPv6OneDim(cfg.Granularity.hier())
-		impl, err = build(cfg, dom,
+		return build(cfg, backend, dom,
 			func(src, _ hierarchy.Addr) hierarchy.Addr { return src },
 			split1v6)
 	default:
 		dom := hierarchy.NewIPv6TwoDim(cfg.Granularity.hier())
-		impl, err = build(cfg, dom,
+		return build(cfg, backend, dom,
 			func(src, dst hierarchy.Addr) hierarchy.AddrPair {
 				return hierarchy.AddrPair{Src: src, Dst: dst}
 			},
 			split2v6)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{impl: impl, cfg: cfg}, nil
 }
 
 // MustNew is New, panicking on error — convenient in examples and tests.
@@ -363,39 +348,37 @@ func (m *Monitor) HeavyHitters(theta float64) []HeavyHitter {
 }
 
 // N returns the total stream weight processed.
-func (m *Monitor) N() uint64 { return m.impl.n() }
+func (m *Monitor) N() uint64 { return m.eng.Weight() }
 
 // Psi returns the convergence bound ψ: the minimum number of packets before
-// the probabilistic guarantees hold (0 for deterministic algorithms).
-func (m *Monitor) Psi() float64 { return m.impl.psi() }
+// the probabilistic guarantees hold (Theorem 6.17, divided by R per
+// Corollary 6.8).
+func (m *Monitor) Psi() float64 { return m.eng.Psi() }
 
 // Converged reports whether N ≥ ψ.
-func (m *Monitor) Converged() bool { return float64(m.impl.n()) >= m.impl.psi() }
+func (m *Monitor) Converged() bool { return float64(m.eng.Weight()) >= m.eng.Psi() }
 
 // H returns the hierarchy size (number of lattice nodes).
-func (m *Monitor) H() int { return m.impl.size() }
+func (m *Monitor) H() int { return m.eng.H() }
 
-// V returns the performance parameter in effect (H for non-RHHH
-// algorithms).
-func (m *Monitor) V() int { return m.impl.vParam() }
-
-// Algorithm returns the configured algorithm.
-func (m *Monitor) Algorithm() Algorithm { return m.cfg.Algorithm }
+// V returns the performance parameter in effect (Config.V, or H when it is
+// 0).
+func (m *Monitor) V() int { return m.eng.V() }
 
 // Reset clears all measurement state, keeping the configuration.
-func (m *Monitor) Reset() { m.impl.reset() }
+func (m *Monitor) Reset() { m.eng.Reset() }
 
 // Instrument registers the monitor's telemetry (engine counters, backend
 // occupancy, standing-query stats) with reg. The update path publishes its
 // counters every telemetryPublishPackets packets — the uninstrumented cost
 // is one predictable branch per update. Call it before feeding traffic; the
 // monitor is single-threaded, so the hookup shares its owner's ordering.
-// Only the RHHH algorithm is instrumentable. A nil reg is a no-op.
+// It returns nil; a nil reg is a no-op.
 func (m *Monitor) Instrument(reg *telemetry.Registry) error {
-	if reg == nil {
-		return nil
+	if reg != nil {
+		m.impl.instrument(reg)
 	}
-	return m.impl.instrument(reg)
+	return nil
 }
 
 // toAddr converts a netip.Addr to the internal 128-bit form, validating the
@@ -418,28 +401,16 @@ func toAddr(a netip.Addr, v6 bool) hierarchy.Addr {
 	return hierarchy.AddrFromIPv4(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
 }
 
-// algorithmIface is the common surface of the four implementations.
-type algorithmIface[K comparable] interface {
-	Update(K)
-	UpdateWeighted(K, uint64)
-	Output(float64) []core.Result[K]
-	Reset()
-}
-
-// impl ties a domain, a key extractor, a per-dimension splitter and an
-// algorithm together.
+// impl ties a domain, a key extractor and a per-dimension splitter to the
+// RHHH engine.
 type impl[K comparable] struct {
-	dom     *hierarchy.Domain[K]
-	key     func(src, dst hierarchy.Addr) K
-	split   func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix)
-	alg     algorithmIface[K]
-	eng     *core.Engine[K] // alg when it is the RHHH engine, else nil
-	keyBuf  []K             // scratch: batch keys by position (see updateBatch)
-	conv    converter[K]
-	v6      bool
-	psiV    float64
-	packets uint64
-	vp      int
+	dom    *hierarchy.Domain[K]
+	key    func(src, dst hierarchy.Addr) K
+	split  func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix)
+	eng    *core.Engine[K]
+	keyBuf []K // scratch: batch keys by position (see updateBatch)
+	conv   converter[K]
+	v6     bool
 
 	// Standing-query state, created by the first Watch: the hub holds the
 	// subscriptions, hubSnap is the reused capture buffer its ticks read.
@@ -447,8 +418,9 @@ type impl[K comparable] struct {
 	hubSnap core.EngineSnapshot[K]
 
 	// Telemetry state installed by instrument (tm nil when uninstrumented):
-	// the update path republishes the engine block when packets reaches
-	// tmNext, amortizing the O(H) backend walk over the publish interval.
+	// the update path republishes the engine block when the engine's packet
+	// count reaches tmNext, amortizing the O(H) backend walk over the
+	// publish interval.
 	tm      *telemetry.EngineStats
 	tmNext  uint64
 	tmEvery uint64
@@ -458,43 +430,32 @@ type impl[K comparable] struct {
 // telemetryPublishPackets is the monitor-level telemetry publish cadence.
 const telemetryPublishPackets = 4096
 
-func (im *impl[K]) instrument(reg *telemetry.Registry) error {
-	if im.eng == nil {
-		return errors.New("rhhh: telemetry requires the RHHH algorithm")
-	}
+func (im *impl[K]) instrument(reg *telemetry.Registry) {
 	im.tm = &telemetry.EngineStats{}
 	im.tm.Register(reg, "")
 	im.tmEvery = telemetryPublishPackets
-	im.tmNext = im.packets + im.tmEvery
+	im.tmNext = im.eng.N() + im.tmEvery
 	im.eng.TelemetryInto(im.tm)
 	im.watchTM = &telemetry.WatchStats{}
 	im.watchTM.Register(reg, "")
 	if im.hub != nil {
 		im.hub.instrument(im.watchTM)
 	}
-	return nil
 }
 
 // publishTelemetry refreshes the engine block and re-arms the watermark.
 func (im *impl[K]) publishTelemetry() {
 	im.eng.TelemetryInto(im.tm)
-	im.tmNext = im.packets + im.tmEvery
+	im.tmNext = im.eng.N() + im.tmEvery
 }
 
 // watch lazily builds the monitor-level hub (capture = engine snapshot into
 // the reused buffer, so unchanged ticks skip the copy) and registers opts.
 func (im *impl[K]) watch(opts WatchOptions) (*Subscription, error) {
 	if im.hub == nil {
-		eng := im.eng
-		if eng == nil {
-			return nil, errors.New("rhhh: Watch requires the RHHH algorithm")
-		}
-		if !eng.Snapshottable() {
-			return nil, errors.New("rhhh: Watch requires a snapshot-capable backend (StreamSummary or CuckooHeavyKeeper)")
-		}
 		var one [1]*core.EngineSnapshot[K]
 		im.hub = newWatchHub(im.dom, im.split, im.v6, func() []*core.EngineSnapshot[K] {
-			one[0] = eng.SnapshotInto(&im.hubSnap)
+			one[0] = im.eng.SnapshotInto(&im.hubSnap)
 			return one[:]
 		}, nil)
 		if im.watchTM != nil {
@@ -512,74 +473,47 @@ func (im *impl[K]) tickWatch() {
 
 func build[K comparable](
 	cfg Config,
+	backend core.Backend,
 	dom *hierarchy.Domain[K],
 	key func(src, dst hierarchy.Addr) K,
 	split func(k K, srcBits, dstBits int) (netip.Prefix, netip.Prefix),
-) (monImpl, error) {
-	im := &impl[K]{dom: dom, key: key, split: split, vp: dom.Size(), v6: cfg.IPv6}
-	switch cfg.Algorithm {
-	case RHHH:
-		v := cfg.V
-		if v == 0 {
-			v = dom.Size()
-		}
-		if v < dom.Size() {
-			return nil, fmt.Errorf("rhhh: V=%d below hierarchy size H=%d", cfg.V, dom.Size())
-		}
-		var backend core.Backend
-		switch cfg.Backend {
-		case StreamSummary:
-			backend = core.SpaceSavingBackend
-		case CuckooHeavyKeeper:
-			backend = core.CHKBackend
-		case HeapSpaceSaving:
-			backend = core.HeapBackend
-		default:
-			return nil, fmt.Errorf("rhhh: unknown backend %d", int(cfg.Backend))
-		}
-		eng := core.New(dom, core.Config{
-			Epsilon: cfg.Epsilon, Delta: cfg.Delta,
-			V: v, R: cfg.R, Seed: cfg.Seed, Backend: backend,
-		})
-		im.alg, im.eng = eng, eng
-		im.psiV = eng.Psi()
-		im.vp = v
-	case MST:
-		im.alg = mst.New(dom, cfg.Epsilon)
-	case FullAncestry:
-		im.alg = ancestry.New(dom, cfg.Epsilon, ancestry.Full)
-	case PartialAncestry:
-		im.alg = ancestry.New(dom, cfg.Epsilon, ancestry.Partial)
+) (*Monitor, error) {
+	if cfg.V != 0 && cfg.V < dom.Size() {
+		return nil, fmt.Errorf("rhhh: V=%d below hierarchy size H=%d", cfg.V, dom.Size())
 	}
-	return im, nil
+	eng := core.New(dom, core.Config{
+		Epsilon: cfg.Epsilon, Delta: cfg.Delta,
+		V: cfg.V, R: cfg.R, Seed: cfg.Seed, Backend: backend,
+	})
+	im := &impl[K]{dom: dom, key: key, split: split, eng: eng, v6: cfg.IPv6}
+	return &Monitor{impl: im, eng: eng, cfg: cfg}, nil
 }
 
 func (im *impl[K]) update(src, dst hierarchy.Addr, w uint64) {
-	im.packets++
 	k := im.key(src, dst)
 	if w == 1 {
-		im.alg.Update(k)
+		im.eng.Update(k)
 	} else {
-		im.alg.UpdateWeighted(k, w)
+		im.eng.UpdateWeighted(k, w)
 	}
-	if im.tm != nil && im.packets >= im.tmNext {
+	if im.tm != nil && im.eng.N() >= im.tmNext {
 		im.publishTelemetry()
 	}
 }
 
 // updateBatch records a batch whose lengths checkBatch has accepted; ws is
 // nil for unit weights. Every address's family is checked before any state
-// changes. Under the RHHH engine's skip sampler (V > H) a check-only pass
-// comes first and only the sampled packets are converted to keys, so a
-// skipped packet costs one family check. Otherwise every packet is
-// converted up front, and the conversion is the check.
+// changes. Under the engine's skip sampler (V > H) a check-only pass comes
+// first and only the sampled packets are converted to keys, so a skipped
+// packet costs one family check. Otherwise every packet is converted up
+// front, and the conversion is the check.
 func (im *impl[K]) updateBatch(srcs, dsts []netip.Addr, ws []uint64) {
 	n := len(srcs)
 	if cap(im.keyBuf) < n {
 		im.keyBuf = make([]K, n)
 	}
 	keys := im.keyBuf[:n]
-	sparse := im.eng != nil && im.eng.UsesSkipSampling()
+	sparse := im.eng.UsesSkipSampling()
 	if sparse {
 		checkFamilies(im.v6, srcs, dsts)
 	} else {
@@ -587,25 +521,14 @@ func (im *impl[K]) updateBatch(srcs, dsts []netip.Addr, ws []uint64) {
 			keys[i] = im.key(toAddr(srcs[i], im.v6), toAddr(dstAt(dsts, i), im.v6))
 		}
 	}
-	im.packets += uint64(n)
-	if im.eng != nil {
-		pos := im.eng.SampleBatch(n)
-		if sparse {
-			for _, p := range pos {
-				keys[p] = im.key(toAddr(srcs[p], im.v6), toAddr(dstAt(dsts, int(p)), im.v6))
-			}
-		}
-		im.eng.ApplyBatch(keys, ws)
-	} else {
-		for i, k := range keys {
-			if ws == nil {
-				im.alg.Update(k)
-			} else {
-				im.alg.UpdateWeighted(k, ws[i])
-			}
+	pos := im.eng.SampleBatch(n)
+	if sparse {
+		for _, p := range pos {
+			keys[p] = im.key(toAddr(srcs[p], im.v6), toAddr(dstAt(dsts, int(p)), im.v6))
 		}
 	}
-	if im.tm != nil && im.packets >= im.tmNext {
+	im.eng.ApplyBatch(keys, ws)
+	if im.tm != nil && im.eng.N() >= im.tmNext {
 		im.publishTelemetry()
 	}
 }
@@ -620,7 +543,7 @@ func dstAt(dsts []netip.Addr, i int) netip.Addr {
 }
 
 func (im *impl[K]) output(theta float64) []HeavyHitter {
-	return im.conv.convert(im.dom, im.split, im.alg.Output(theta))
+	return im.conv.convert(im.dom, im.split, im.eng.Output(theta))
 }
 
 // textKey identifies one rendered prefix in a converter's string cache.
@@ -682,9 +605,6 @@ func (c *converter[K]) convert(
 
 // snapshotInto captures the engine state into dst (see Monitor.Snapshot).
 func (im *impl[K]) snapshotInto(dst *Snapshot) *Snapshot {
-	if im.eng == nil {
-		panic("rhhh: snapshots require the RHHH algorithm")
-	}
 	if dst == nil {
 		dst = &Snapshot{}
 	}
@@ -700,15 +620,6 @@ func (im *impl[K]) snapshotInto(dst *Snapshot) *Snapshot {
 	return dst
 }
 
-// reseed rewinds the algorithm's RNG when it has one (deterministic
-// algorithms are unaffected); with Reset it reproduces a freshly built
-// monitor bit for bit.
-func (im *impl[K]) reseed(seed uint64) {
-	if eng, ok := im.alg.(interface{ Reseed(uint64) }); ok {
-		eng.Reseed(seed)
-	}
-}
-
 // loadSnapshot restores the engine state from a captured snapshot (see
 // Monitor.LoadSnapshot).
 func (im *impl[K]) loadSnapshot(sc snapCore) error {
@@ -716,30 +627,11 @@ func (im *impl[K]) loadSnapshot(sc snapCore) error {
 	if !ok {
 		return errors.New("rhhh: snapshot hierarchy does not match the monitor")
 	}
-	if im.eng == nil {
-		return errors.New("rhhh: restore requires the RHHH algorithm")
-	}
 	if err := im.eng.LoadSnapshot(&st.es); err != nil {
 		return fmt.Errorf("rhhh: %w", err)
 	}
-	im.packets = st.es.Packets
 	return nil
 }
-
-func (im *impl[K]) n() uint64 {
-	if im.eng != nil {
-		return im.eng.Weight()
-	}
-	if a, ok := im.alg.(interface{ N() uint64 }); ok {
-		return a.N()
-	}
-	return im.packets
-}
-
-func (im *impl[K]) psi() float64 { return im.psiV }
-func (im *impl[K]) reset()       { im.alg.Reset(); im.packets = 0 }
-func (im *impl[K]) size() int    { return im.dom.Size() }
-func (im *impl[K]) vParam() int  { return im.vp }
 
 // Per-key-type prefix splitters.
 

@@ -1,36 +1,77 @@
 package rhhh_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
 
 	"rhhh"
+	"rhhh/internal/baseline/ancestry"
+	"rhhh/internal/baseline/mst"
+	"rhhh/internal/core"
+	"rhhh/internal/hierarchy"
 )
 
 func addr4(a, b, c, d byte) netip.Addr {
 	return netip.AddrFrom4([4]byte{a, b, c, d})
 }
 
+// TestConfigValidation: New, NewSharded, NewWindowed and NewSlidingWindowed
+// each return an error, not a panic, for every invalid config — among them
+// Backend(2), once the heap backend, and Algorithm(1), once MST — and accept
+// a valid one. The windows are far above ψ, so a rejection is the config's.
 func TestConfigValidation(t *testing.T) {
+	const window = 1 << 40
+	ok := func(rhhh.WindowResult) {}
+	ctors := []struct {
+		name  string
+		build func(rhhh.Config) error
+	}{
+		{"New", func(c rhhh.Config) error { _, err := rhhh.New(c); return err }},
+		{"NewSharded", func(c rhhh.Config) error {
+			s, err := rhhh.NewSharded(c, 2)
+			if err == nil {
+				s.Close()
+			}
+			return err
+		}},
+		{"NewWindowed", func(c rhhh.Config) error { _, err := rhhh.NewWindowed(c, window, 0.1, ok); return err }},
+		{"NewSlidingWindowed", func(c rhhh.Config) error {
+			_, err := rhhh.NewSlidingWindowed(c, window, 2, 0.1, ok)
+			return err
+		}},
+	}
 	bad := []rhhh.Config{
-		{},                                        // no dims, no epsilon
-		{Dims: 3, Epsilon: 0.1, Delta: 0.1},       // dims
-		{Dims: 1, Epsilon: 0, Delta: 0.1},         // epsilon
-		{Dims: 1, Epsilon: 0.1, Delta: 0},         // delta (RHHH)
-		{Dims: 1, Epsilon: 0.1, Delta: 0.1, V: 2}, // V < H
+		{},                                                   // no dims, no epsilon
+		{Dims: 3, Epsilon: 0.1, Delta: 0.1},                  // dims
+		{Dims: 1, Epsilon: 0, Delta: 0.1},                    // epsilon
+		{Dims: 1, Epsilon: 0.1, Delta: 0},                    // delta
+		{Dims: 1, Epsilon: 0.1, Delta: 0.1, V: 2},            // V < H
+		{Dims: 1, Epsilon: 0.1, Delta: 0.1, R: -1},           // R
 		{Dims: 1, Epsilon: 0.1, Delta: 0.1, Granularity: 99}, // granularity
+		{Dims: 1, Epsilon: 0.1, Delta: 0.1, Backend: 2},      // the old heap backend
+		{Dims: 1, Epsilon: 0.1, Delta: 0.1, Backend: 99},     // backend
+		{Dims: 1, Epsilon: 0.1, Delta: 0.1, Algorithm: 1},    // the old MST
 		{Dims: 1, Epsilon: 0.1, Delta: 0.1, Algorithm: 99},   // algorithm
 	}
-	for i, cfg := range bad {
-		if _, err := rhhh.New(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for _, ctor := range ctors {
+		if err := ctor.build(rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}); err != nil {
+			t.Errorf("%s rejected a valid config: %v", ctor.name, err)
 		}
-	}
-	// Deterministic algorithms do not need Delta.
-	if _, err := rhhh.New(rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}); err != nil {
-		t.Errorf("MST without delta rejected: %v", err)
+		for i, cfg := range bad {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s panicked on config %d (%+v): %v", ctor.name, i, cfg, r)
+					}
+				}()
+				if ctor.build(cfg) == nil {
+					t.Errorf("%s accepted config %d: %+v", ctor.name, i, cfg)
+				}
+			}()
+		}
 	}
 }
 
@@ -90,42 +131,64 @@ func TestEndToEnd1D(t *testing.T) {
 	}
 }
 
+// TestEndToEnd2DAllAlgorithms feeds one 2D DDoS stream to RHHH through the
+// public Monitor and to the paper's three deterministic baselines, built
+// straight from internal/baseline as hhhbench builds them: each must report
+// the (*, victim) aggregate.
 func TestEndToEnd2DAllAlgorithms(t *testing.T) {
-	algs := []rhhh.Algorithm{rhhh.RHHH, rhhh.MST, rhhh.FullAncestry, rhhh.PartialAncestry}
-	for _, alg := range algs {
-		t.Run(alg.String(), func(t *testing.T) {
-			m := rhhh.MustNew(rhhh.Config{
-				Dims: 2, Epsilon: 0.02, Delta: 0.05, Seed: 3, Algorithm: alg,
-			})
-			rng := rand.New(rand.NewSource(4))
-			n := 100000
-			if alg == rhhh.RHHH {
-				n = int(m.Psi()) + 100000
+	victim := addr4(198, 51, 100, 7)
+	stream := func(n int, update func(src, dst netip.Addr)) {
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < n; i++ {
+			src := addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			dst := victim
+			if rng.Intn(10) >= 3 { // 30%: DDoS onto one victim host
+				dst = addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
-			victim := addr4(198, 51, 100, 7)
-			for i := 0; i < n; i++ {
-				src := addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
-				dst := src
-				if rng.Intn(10) < 3 { // 30%: DDoS onto one victim host
-					dst = victim
-				} else {
-					dst = addr4(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			update(src, dst)
+		}
+	}
+	t.Run("RHHH", func(t *testing.T) {
+		m := rhhh.MustNew(rhhh.Config{Dims: 2, Epsilon: 0.02, Delta: 0.05, Seed: 3})
+		stream(int(m.Psi())+100000, m.Update)
+		hits := m.HeavyHitters(0.2)
+		for _, h := range hits {
+			if h.Dst == netip.PrefixFrom(victim, 32) && h.Src.Bits() == 0 {
+				if !strings.Contains(h.Text, "198.51.100.7") {
+					t.Errorf("text = %q", h.Text)
 				}
-				m.Update(src, dst)
+				return
 			}
-			hits := m.HeavyHitters(0.2)
-			found := false
-			for _, h := range hits {
-				if h.Dst == netip.PrefixFrom(victim, 32) && h.Src.Bits() == 0 {
-					found = true
-					if !strings.Contains(h.Text, "198.51.100.7") {
-						t.Errorf("text = %q", h.Text)
+		}
+		t.Fatalf("missed the (*, victim) aggregate; got %v", hits)
+	})
+
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	u32 := func(a netip.Addr) uint32 { b := a.As4(); return binary.BigEndian.Uint32(b[:]) }
+	for _, b := range []struct {
+		name string
+		alg  interface {
+			Update(uint64)
+			Output(float64) []core.Result[uint64]
+		}
+	}{
+		{"MST", mst.New(dom, 0.02)},
+		{"full-ancestry", ancestry.New(dom, 0.02, ancestry.Full)},
+		{"partial-ancestry", ancestry.New(dom, 0.02, ancestry.Partial)},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			stream(100000, func(src, dst netip.Addr) { b.alg.Update(hierarchy.Pack2D(u32(src), u32(dst))) })
+			out := b.alg.Output(0.2)
+			for _, r := range out {
+				node := dom.Node(r.Node)
+				if _, d := hierarchy.Unpack2D(r.Key); node.SrcBits == 0 && node.DstBits == 32 && d == u32(victim) {
+					if text := dom.Format(r.Key, r.Node); !strings.Contains(text, "198.51.100.7") {
+						t.Errorf("text = %q", text)
 					}
+					return
 				}
 			}
-			if !found {
-				t.Fatalf("%s missed the (*, victim) aggregate; got %v", alg, hits)
-			}
+			t.Fatalf("missed the (*, victim) aggregate; got %v", out)
 		})
 	}
 }
@@ -165,12 +228,19 @@ func TestIPv6Monitor(t *testing.T) {
 	}
 }
 
+// TestWeightedUpdates: N counts weight, not packets, and an address
+// carrying 90% of the weight on half the packets is reported once the stream
+// has passed ψ packets.
 func TestWeightedUpdates(t *testing.T) {
-	m := rhhh.MustNew(rhhh.Config{Dims: 1, Epsilon: 0.05, Algorithm: rhhh.MST})
-	m.UpdateWeighted(addr4(1, 1, 1, 1), netip.Addr{}, 900)
-	m.UpdateWeighted(addr4(2, 2, 2, 2), netip.Addr{}, 100)
-	if m.N() != 1000 {
-		t.Fatalf("N = %d", m.N())
+	m := rhhh.MustNew(rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05, Seed: 8})
+	rng := rand.New(rand.NewSource(9))
+	pairs := int(m.Psi())
+	for i := 0; i < pairs; i++ {
+		m.UpdateWeighted(addr4(1, 1, 1, 1), netip.Addr{}, 900)
+		m.UpdateWeighted(addr4(2, 2, byte(rng.Intn(256)), byte(rng.Intn(256))), netip.Addr{}, 100)
+	}
+	if m.N() != uint64(pairs)*1000 {
+		t.Fatalf("N = %d, want %d", m.N(), pairs*1000)
 	}
 	hits := m.HeavyHitters(0.5)
 	if len(hits) == 0 {

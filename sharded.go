@@ -280,8 +280,7 @@ func (w *Worker) Epoch() uint64 { return w.cell.v.Load().(*pubState).epoch }
 func (w *Worker) PublishedN() uint64 { return w.cell.v.Load().(*pubState).weight }
 
 // NewSharded builds n shared-nothing workers with the default publication
-// cadence. Only Algorithm RHHH with a mergeable backend (Space Saving or
-// CHK) supports sharding.
+// cadence. cfg is validated as by New.
 func NewSharded(cfg Config, n int) (*Sharded, error) {
 	return NewShardedOptions(cfg, n, ShardedOptions{})
 }
@@ -290,9 +289,6 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 func NewShardedOptions(cfg Config, n int, opts ShardedOptions) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rhhh: need at least one shard, got %d", n)
-	}
-	if cfg.Algorithm != RHHH {
-		return nil, fmt.Errorf("rhhh: sharding requires the RHHH algorithm, got %v", cfg.Algorithm)
 	}
 	pubPackets := opts.PublishPackets
 	if pubPackets == 0 {
@@ -562,11 +558,7 @@ func newAggState[K comparable](first *impl[K], monitors []*Monitor) *aggState[K]
 		ex:      core.NewExtractor(first.dom),
 	}
 	for i, m := range monitors {
-		eng := m.impl.(*impl[K]).eng
-		if eng == nil {
-			panic("rhhh: sharding requires the RHHH engine")
-		}
-		a.engines[i] = eng
+		a.engines[i] = m.impl.(*impl[K]).eng
 	}
 	return a
 }

@@ -76,9 +76,6 @@ func NewLockedShardedForTest(cfg Config, n int) (*LockedSharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rhhh: need at least one shard, got %d", n)
 	}
-	if cfg.Algorithm != RHHH {
-		return nil, fmt.Errorf("rhhh: sharding requires the RHHH algorithm, got %v", cfg.Algorithm)
-	}
 	s := &LockedSharded{cfg: cfg, shards: make([]*LockedShard, n)}
 	monitors := make([]*Monitor, n)
 	for i := range s.shards {
@@ -162,11 +159,7 @@ func newLockedAggState[K comparable](first *impl[K], monitors []*Monitor) *locke
 		ex:      core.NewExtractor(first.dom),
 	}
 	for i, m := range monitors {
-		eng, ok := m.impl.(*impl[K]).alg.(*core.Engine[K])
-		if !ok {
-			panic("rhhh: sharding requires the RHHH engine")
-		}
-		a.engines[i] = eng
+		a.engines[i] = m.impl.(*impl[K]).eng
 		a.ptrs[i] = &a.bufs[i]
 	}
 	return a

@@ -63,9 +63,6 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := rhhh.NewSharded(rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := rhhh.NewSharded(rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}, 2); err == nil {
-		t.Error("non-RHHH sharding accepted")
-	}
 	if _, err := rhhh.NewSharded(rhhh.Config{Dims: 7, Epsilon: 0.1, Delta: 0.1}, 2); err == nil {
 		t.Error("invalid inner config accepted")
 	}

@@ -23,9 +23,9 @@ import (
 //     form, so state can be shipped between processes or persisted across
 //     restarts.
 //
-// Snapshots are only available for the RHHH algorithm with the default
-// Space Saving backend (the mergeable configuration). The zero Snapshot is
-// empty; UnmarshalBinary fills it.
+// Every Monitor can snapshot, on either backend (a CHK snapshot carries its
+// sketches' point estimates as both bounds). The zero Snapshot is empty;
+// UnmarshalBinary fills it.
 //
 // The measurement state a Snapshot carries is frozen, but queries reuse
 // cached workspace inside the Snapshot (extraction slabs, bounds indices,
@@ -303,8 +303,7 @@ func decodeSnapState[K comparable](
 }
 
 // Snapshot returns an immutable copy of the monitor's state (see the
-// Snapshot type). Only the RHHH algorithm supports snapshots; other
-// algorithms panic. The monitor must not be updated concurrently with the
+// Snapshot type). The monitor must not be updated concurrently with the
 // capture (a Sharded wrapper handles that synchronization).
 func (m *Monitor) Snapshot() *Snapshot { return m.SnapshotInto(nil) }
 
@@ -320,8 +319,8 @@ func (m *Monitor) SnapshotInto(dst *Snapshot) *Snapshot {
 // LoadSnapshot replaces the monitor's measurement state with the snapshot's
 // — the restore half of snapshot-driven persistence: marshal a snapshot to
 // a checkpoint file, and on restart unmarshal it and load it into a monitor
-// built with the same configuration (hierarchy, ε, δ, V, R; the RHHH
-// algorithm with the default backend). The update RNG is not part of a
+// built with the same configuration (hierarchy, ε, δ, V, R and backend).
+// The update RNG is not part of a
 // snapshot, so a restored monitor continues on its own random stream; the
 // paper's guarantees carry over, bit-for-bit reproducibility across the
 // restart does not.

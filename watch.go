@@ -461,7 +461,7 @@ func (st *subState[K]) deliver(d Delta) {
 // HHH set at the subscription's threshold and delivers the delta against the
 // previous tick. The monitor is single-threaded, so ticks are explicit —
 // call Tick from the goroutine that updates the monitor, at whatever cadence
-// the deployment wants events. Requires the RHHH algorithm.
+// the deployment wants events.
 func (m *Monitor) Watch(opts WatchOptions) (*Subscription, error) {
 	return m.impl.watch(opts)
 }

@@ -405,11 +405,6 @@ func TestWatchOptionValidation(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted: %+v", i, opts)
 		}
 	}
-	// Non-RHHH algorithms have no snapshot path to watch.
-	mst := rhhh.MustNew(rhhh.Config{Dims: 1, Granularity: rhhh.Byte, Epsilon: 0.01, Algorithm: rhhh.MST})
-	if _, err := mst.Watch(rhhh.WatchOptions{Theta: 0.1}); err == nil {
-		t.Error("Watch accepted a non-RHHH monitor")
-	}
 }
 
 // TestSuggestThetaAndAutoTheta checks the adaptive-θ helper and its Watch

@@ -40,7 +40,7 @@ import (
 //
 // Choose the covered window (windowSize, or k·windowSize when sliding)
 // ≥ Psi(ε, δ, V) so every delivered result carries the paper's guarantees;
-// the constructors reject configurations below ψ for the RHHH algorithm.
+// the constructors reject configurations below ψ.
 type Windowed struct {
 	cfg     Config
 	size    uint64
@@ -112,17 +112,13 @@ func NewWindowed(cfg Config, windowSize uint64, theta float64, onFlush func(Wind
 
 // NewSlidingWindowed builds a sliding-window monitor: sub-windows of
 // windowSize packets, each delivered result covering the last k of them.
-// k = 1 degenerates to tumbling. Sliding mode merges snapshots and
-// therefore requires the RHHH algorithm.
+// k = 1 degenerates to tumbling.
 //
 // Sliding-mode results are merged and delivered on a background goroutine
 // (see Windowed); onFlush must not call back into the Windowed.
 func NewSlidingWindowed(cfg Config, windowSize uint64, k int, theta float64, onFlush func(WindowResult)) (*Windowed, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("rhhh: sliding window needs k >= 1 sub-windows, got %d", k)
-	}
-	if k > 1 && cfg.Algorithm != RHHH {
-		return nil, fmt.Errorf("rhhh: sliding windows require the RHHH algorithm, got %v", cfg.Algorithm)
 	}
 	return newWindowed(cfg, windowSize, k, theta, onFlush)
 }
@@ -361,9 +357,8 @@ func (w *Windowed) SetResiliencePolicy(p *resilience.Policy) {
 // consecutive covered windows (the union of the last k sub-windows when
 // sliding) at the subscription's own threshold — the change-detection
 // deployment, where a subscriber learns that a prefix became heavy this
-// window or stopped being heavy, without re-reading full sets. Requires the
-// RHHH algorithm. WatchOptions.Interval is ignored: window turnover is the
-// tick.
+// window or stopped being heavy, without re-reading full sets.
+// WatchOptions.Interval is ignored: window turnover is the tick.
 func (w *Windowed) Watch(opts WatchOptions) (*Subscription, error) {
 	if w.watchClosed {
 		return nil, errors.New("rhhh: Watch on a closed Windowed")
@@ -400,13 +395,13 @@ func (w *Windowed) Close() error {
 func newWindowedHub(w *Windowed) (watchCtl, error) {
 	switch im := w.current.impl.(type) {
 	case *impl[uint32]:
-		return windowedHub(w, im)
+		return windowedHub(w, im), nil
 	case *impl[uint64]:
-		return windowedHub(w, im)
+		return windowedHub(w, im), nil
 	case *impl[hierarchy.Addr]:
-		return windowedHub(w, im)
+		return windowedHub(w, im), nil
 	case *impl[hierarchy.AddrPair]:
-		return windowedHub(w, im)
+		return windowedHub(w, im), nil
 	default:
 		return nil, fmt.Errorf("rhhh: unknown windowed implementation %T", w.current.impl)
 	}
@@ -415,22 +410,18 @@ func newWindowedHub(w *Windowed) (watchCtl, error) {
 // windowedHub builds the typed hub: capture reads the covered window's state
 // at flush time — the ring-merged snapshot when sliding, a reused snapshot
 // of the closing monitor when tumbling.
-func windowedHub[K comparable](w *Windowed, im *impl[K]) (watchCtl, error) {
-	eng := im.eng
-	if eng == nil {
-		return nil, errors.New("rhhh: Watch requires the RHHH algorithm")
-	}
+func windowedHub[K comparable](w *Windowed, im *impl[K]) watchCtl {
 	var buf core.EngineSnapshot[K]
 	var one [1]*core.EngineSnapshot[K]
 	capture := func() []*core.EngineSnapshot[K] {
 		if w.k > 1 {
 			one[0] = &w.merged.impl.(*snapState[K]).es
 		} else {
-			one[0] = eng.SnapshotInto(&buf)
+			one[0] = im.eng.SnapshotInto(&buf)
 		}
 		return one[:]
 	}
-	return newWatchHub(im.dom, im.split, im.v6, capture, nil), nil
+	return newWatchHub(im.dom, im.split, im.v6, capture, nil)
 }
 
 func (w *Windowed) flush() {
@@ -457,7 +448,7 @@ func (w *Windowed) flush() {
 		// independent and runs reproducible — window i is bit-identical to a
 		// fresh monitor seeded Seed + i·φ64 — without rebuilding the monitor.
 		w.current.Reset()
-		w.current.impl.reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
+		w.current.eng.Reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
 		w.onFlush(res)
 		return
 	}
@@ -474,7 +465,7 @@ func (w *Windowed) flush() {
 	res.SubWindows = len(w.order)
 	w.index++
 	w.current.Reset()
-	w.current.impl.reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
+	w.current.eng.Reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
 	w.mergePending = true
 	go func() {
 		// The handshake token is released in a defer so the producer's

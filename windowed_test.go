@@ -71,13 +71,12 @@ func TestWindowedDeliversPerWindowResults(t *testing.T) {
 }
 
 func TestWindowedFlushPartial(t *testing.T) {
-	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}
+	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}
 	fired := 0
-	w, err := rhhh.NewWindowed(cfg, 1000, 0.5, func(r rhhh.WindowResult) {
+	w, err := rhhh.NewWindowed(cfg, uint64(rhhh.Psi(0.1, 0.1, 5))+1, 0.5, func(r rhhh.WindowResult) {
 		fired++
 		if r.N != 10 {
-			// partial window: N below size
-			// (first call has exactly the 10 fed packets)
+			t.Errorf("partial window delivered N=%d, want the 10 fed packets", r.N)
 		}
 	})
 	if err != nil {
@@ -211,20 +210,21 @@ func TestWindowedUpdateBatchMatchesPerPacket(t *testing.T) {
 // TestWindowedUpdateWeighted: window boundaries are measured in stream
 // weight, so weighted packets close windows early.
 func TestWindowedUpdateWeighted(t *testing.T) {
-	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}
+	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}
+	window := uint64(rhhh.Psi(0.1, 0.1, 5)) + 1
 	var results []rhhh.WindowResult
-	w, err := rhhh.NewWindowed(cfg, 1000, 0.5, func(r rhhh.WindowResult) { results = append(results, r) })
+	w, err := rhhh.NewWindowed(cfg, window, 0.5, func(r rhhh.WindowResult) { results = append(results, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		w.UpdateWeighted(addr4(1, 2, 3, 4), netip.Addr{}, 300)
+		w.UpdateWeighted(addr4(1, 2, 3, 4), netip.Addr{}, window*3/10)
 	}
 	if len(results) != 1 {
-		t.Fatalf("%d windows after 1200 units of weight, want 1", len(results))
+		t.Fatalf("%d windows after 4 packets of 30%% of the window's weight each, want 1", len(results))
 	}
-	if results[0].N < 1000 {
-		t.Fatalf("window closed at N=%d, below the 1000 boundary", results[0].N)
+	if results[0].N < window {
+		t.Fatalf("window closed at N=%d, below the %d boundary", results[0].N, window)
 	}
 }
 
@@ -359,14 +359,6 @@ func TestSlidingWindowValidation(t *testing.T) {
 	cfg := rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05}
 	if _, err := rhhh.NewSlidingWindowed(cfg, 100000, 0, 0.5, ok); err == nil {
 		t.Error("k=0 accepted")
-	}
-	mst := rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}
-	if _, err := rhhh.NewSlidingWindowed(mst, 1000, 2, 0.5, ok); err == nil {
-		t.Error("sliding MST accepted")
-	}
-	// k=1 degenerates to tumbling and accepts MST.
-	if _, err := rhhh.NewSlidingWindowed(mst, 1000, 1, 0.5, ok); err != nil {
-		t.Errorf("k=1 MST rejected: %v", err)
 	}
 	// ψ is checked against the covered window k·size.
 	tight := rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05}
@@ -514,7 +506,7 @@ func TestWindowedUpdateWeightedBatchMatchesPerPacket(t *testing.T) {
 
 func TestWindowedValidation(t *testing.T) {
 	ok := func(rhhh.WindowResult) {}
-	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Algorithm: rhhh.MST}
+	cfg := rhhh.Config{Dims: 1, Epsilon: 0.1, Delta: 0.1}
 	if _, err := rhhh.NewWindowed(cfg, 0, 0.5, ok); err == nil {
 		t.Error("zero window accepted")
 	}
