@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts with the testing
-// harness — one benchmark per figure plus the DESIGN.md ablations. The
+// harness — one benchmark per figure plus the BenchmarkAblation* studies. The
 // per-update benchmarks (Figure 5/6/7) report ns/op directly comparable
 // across algorithms; the sweep benchmarks (Figures 2–4) run a scaled error
 // sweep and report the final error ratios via b.ReportMetric.

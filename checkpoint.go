@@ -50,7 +50,7 @@ func (c *Checkpointer) Checkpoint() (full bool, err error) {
 	_, seq := c.store.Generation()
 	wantFull := int(seq) >= c.fullEvery
 	c.s.aggMu.Lock()
-	out, wroteFull, err := c.s.agg.appendCheckpoint(c.s.workers, c.buf[:0], wantFull)
+	out, wroteFull, err := c.s.agg.appendCheckpoint(c.buf[:0], wantFull)
 	c.s.aggMu.Unlock()
 	if err != nil {
 		return false, err

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"syscall"
+	"time"
 
 	"rhhh"
 	"rhhh/internal/hierarchy"
@@ -104,9 +105,7 @@ func main() {
 
 	if *metrics != "" {
 		reg := telemetry.NewRegistry()
-		if err := mon.Instrument(reg); err != nil {
-			fatalf("%v", err)
-		}
+		mon.Instrument(reg)
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -114,7 +113,8 @@ func main() {
 		})
 		go func() {
 			fmt.Fprintf(os.Stderr, "hhh: metrics on http://%s/metrics\n", *metrics)
-			if err := http.ListenAndServe(*metrics, mux); err != nil {
+			srv := &http.Server{Addr: *metrics, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+			if err := srv.ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "hhh: metrics server: %v\n", err)
 			}
 		}()
@@ -287,6 +287,11 @@ func writeCheckpoint(snap *rhhh.Snapshot, path string) error {
 	}
 	return fsys.SyncDir(filepath.Dir(path))
 }
+
+// readHeaderTimeout bounds how long a scraper may take to send its request
+// headers, so one that trickles them cannot hold a connection and its
+// goroutine indefinitely.
+const readHeaderTimeout = 5 * time.Second
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "hhh: "+format+"\n", args...)

@@ -194,7 +194,7 @@ func main() {
 		})
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: newMux(srv)}
+	httpSrv := newHTTPServer(*addr, newMux(srv))
 	go func() {
 		fmt.Fprintf(os.Stderr, "hhhd: serving on http://%s (workers=%d profile=%s)\n", *addr, *workers, *profile)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -210,7 +210,7 @@ func main() {
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			fmt.Fprintf(os.Stderr, "hhhd: pprof on http://%s/debug/pprof/\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
+			if err := newHTTPServer(*debugAddr, mux).ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "hhhd: pprof server: %v\n", err)
 			}
 		}()
@@ -350,6 +350,18 @@ type feederConfig struct {
 // feedBatch is the feeder's batch size: large enough to amortize the worker
 // batch path, small enough for sub-millisecond rate-control granularity.
 const feedBatch = 256
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one that trickles them cannot hold a connection and its
+// goroutine indefinitely. No write timeout is set: /watch streams are
+// long-lived and bound each write themselves.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer builds hhhd's listeners (the operational port and the
+// pprof port) with the header timeout.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
 
 // keepBatch reports whether the i-th generated batch (0-based) survives
 // thinning factor k: the leader of every window of k consecutive batches is

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
@@ -290,5 +291,35 @@ func TestWatchInstrumented(t *testing.T) {
 	s, ok := telemetry.Lookup(fams, "rhhh_watch_tick_seconds", "rhhh_watch_tick_seconds_count", "")
 	if !ok || s.Value <= 0 {
 		t.Errorf("tick latency histogram empty: %+v ok=%v", s, ok)
+	}
+}
+
+// TestHeaderTimeoutClosesSlowClient: hhhd's listener closes a connection
+// that sends only part of a request header once the header timeout passes,
+// instead of holding it and its goroutine open.
+func TestHeaderTimeoutClosesSlowClient(t *testing.T) {
+	t.Parallel()
+	srv, _ := testServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(ln.Addr().String(), newMux(srv))
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: hhhd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a partial header still open after the header timeout: %v", err)
 	}
 }

@@ -3,7 +3,7 @@
 // Hierarchical Heavy Hitters in Streaming Data" (ACM TKDD 2008) — reference
 // [14] of the paper. The paper under reproduction uses them only as
 // comparison baselines and does not restate their pseudocode, so this is a
-// faithful-in-spirit reconstruction (documented in DESIGN.md §3):
+// faithful-in-spirit reconstruction:
 //
 //   - a lattice trie of materialized prefixes, each carrying a count g since
 //     insertion and an error bound Δ (Lossy Counting style);

@@ -26,6 +26,10 @@ func (e *Engine[K]) UsesDirectApply() bool { return e.directApply }
 // sketches without interface dispatch.
 func (e *Engine[K]) UsesCHKBackend() bool { return e.chk != nil }
 
+// Current returns the slot of the ring's latest publication, for tests that
+// act as its producer (readers go through Pin).
+func (r *PubRing[K]) Current() *PubSlot[K] { return r.prev }
+
 // Gen exposes the snapshot's mutation generation to the publication and
 // merger-skip tests.
 func (es *EngineSnapshot[K]) Gen() uint64 { return es.gen }

@@ -2,45 +2,15 @@ package core_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"rhhh/internal/core"
 	"rhhh/internal/fastrand"
 	"rhhh/internal/hierarchy"
 )
-
-// TestPublishSnapshotMatchesSnapshot: a published snapshot must answer
-// queries bit-identically to a plain SnapshotInto capture of the same engine
-// state, across a chain of publications with traffic in between.
-func TestPublishSnapshotMatchesSnapshot(t *testing.T) {
-	for _, backend := range []core.Backend{core.SpaceSavingBackend, core.CHKBackend} {
-		dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-		eng := core.New(dom, core.Config{Epsilon: 0.02, Delta: 0.05, Seed: 11, Backend: backend})
-		r := fastrand.New(12)
-		var pub *core.EngineSnapshot[uint64]
-		for round := 0; round < 6; round++ {
-			for i := 0; i < 20000; i++ {
-				eng.Update(gen2D(r))
-			}
-			pub = eng.PublishSnapshot(pub)
-			ref := eng.Snapshot()
-			for _, theta := range []float64{0.02, 0.1} {
-				a := pub.Output(dom, theta)
-				b := ref.Output(dom, theta)
-				if len(a) != len(b) {
-					t.Fatalf("backend=%d round=%d theta=%v: %d vs %d results", backend, round, theta, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("backend=%d round=%d theta=%v result %d: %+v vs %+v",
-							backend, round, theta, i, a[i], b[i])
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestPubRingMatchesSnapshot: ring publications must answer queries
 // bit-identically to a plain SnapshotInto capture of the same engine state,
@@ -52,12 +22,12 @@ func TestPubRingMatchesSnapshot(t *testing.T) {
 		eng := core.New(dom, core.Config{Epsilon: 0.02, Delta: 0.05, Seed: 11, Backend: backend})
 		ring := core.NewPubRing(eng)
 		r := fastrand.New(12)
-		var slot *core.PubSlot[uint64]
 		for round := 0; round < 12; round++ {
 			for i := 0; i < 5000; i++ {
 				eng.Update(gen2D(r))
 			}
-			slot = ring.Publish(slot)
+			ring.Publish()
+			slot := ring.Current()
 			ref := eng.Snapshot()
 			for _, theta := range []float64{0.02, 0.1} {
 				a := slot.Snapshot().Output(dom, theta)
@@ -87,22 +57,20 @@ func TestPubRingPinnedSlotStable(t *testing.T) {
 	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 41})
 	ring := core.NewPubRing(eng)
 	r := fastrand.New(42)
-	var slot *core.PubSlot[uint64]
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 10000; i++ {
 			eng.Update(gen2D(r))
 		}
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}
-	held := slot
-	held.Pin()
+	held, _ := ring.Pin()
 	before := held.Snapshot().Output(dom, 0.05)
 	beforeN := held.Snapshot().Weight
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 10000; i++ {
 			eng.Update(gen2D(r))
 		}
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}
 	after := held.Snapshot().Output(dom, 0.05)
 	if held.Snapshot().Weight != beforeN {
@@ -124,7 +92,7 @@ func TestPubRingPinnedSlotStable(t *testing.T) {
 		for i := 0; i < 10000; i++ {
 			eng.Update(gen2D(r))
 		}
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}
 	if ring.Slots() > 5 {
 		t.Fatalf("ring kept growing after the pin was released: %d slots", ring.Slots())
@@ -140,7 +108,6 @@ func TestPubRingDropsIdleSpare(t *testing.T) {
 	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 61})
 	ring := core.NewPubRing(eng)
 	r := fastrand.New(62)
-	var slot *core.PubSlot[uint64]
 	// seen tracks every slot the ring hands out without keeping it alive.
 	seen := map[weak.Pointer[core.PubSlot[uint64]]]bool{}
 	publish := func(n int) {
@@ -148,15 +115,14 @@ func TestPubRingDropsIdleSpare(t *testing.T) {
 			for i := 0; i < 256; i++ {
 				eng.Update(gen2D(r))
 			}
-			slot = ring.Publish(slot)
-			seen[weak.Make(slot)] = true
+			ring.Publish()
+			seen[weak.Make(ring.Current())] = true
 		}
 	}
 	// holdAcross pins the current publication while four more go out, so
 	// the slot added for it is also published while the pin is held.
 	holdAcross := func() {
-		held := slot
-		held.Pin()
+		held, _ := ring.Pin()
 		publish(4)
 		held.Unpin()
 	}
@@ -201,7 +167,7 @@ func TestPubRingDropsIdleSpare(t *testing.T) {
 		t.Fatalf("%d of the %d slots handed out survive GC, want 3", live, len(seen))
 	}
 	ref := eng.Snapshot()
-	a, b := slot.Snapshot().Output(dom, 0.05), ref.Output(dom, 0.05)
+	a, b := ring.Current().Snapshot().Output(dom, 0.05), ref.Output(dom, 0.05)
 	if len(a) != len(b) {
 		t.Fatalf("publication after dropping the spare: %d vs %d results", len(a), len(b))
 	}
@@ -212,23 +178,23 @@ func TestPubRingDropsIdleSpare(t *testing.T) {
 	}
 }
 
-// TestPubRingSteadyState: an idle republish returns the same slot, and a warm
-// one-packet publish cycle allocates nothing — the whole point of the ring
-// over PublishSnapshot's allocate-per-epoch scheme.
+// TestPubRingSteadyState: an idle republish keeps the same slot, and a warm
+// publish cycle allocates nothing — the whole point of the ring over
+// allocating a snapshot per epoch.
 func TestPubRingSteadyState(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 51})
 	ring := core.NewPubRing(eng)
 	r := fastrand.New(52)
-	var slot *core.PubSlot[uint64]
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 10000; i++ {
 			eng.Update(gen2D(r))
 		}
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}
-	if again := ring.Publish(slot); again != slot {
-		t.Fatal("idle republish returned a different slot")
+	slot := ring.Current()
+	if ring.Publish() || ring.Current() != slot {
+		t.Fatal("idle republish moved to a different slot")
 	}
 	// At a realistic cadence every node changes between publications, so no
 	// node buffer is shared across epochs and the whole cycle reuses the
@@ -237,7 +203,7 @@ func TestPubRingSteadyState(t *testing.T) {
 		for i := 0; i < 2048; i++ {
 			eng.Update(gen2D(r))
 		}
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}); allocs != 0 {
 		t.Fatalf("warm burst publish cycle allocates %v per run, want 0", allocs)
 	}
@@ -246,45 +212,16 @@ func TestPubRingSteadyState(t *testing.T) {
 	// unchanged chain), costing at most the three fresh arrays for that node.
 	if allocs := testing.AllocsPerRun(200, func() {
 		eng.Update(gen2D(r))
-		slot = ring.Publish(slot)
+		ring.Publish()
 	}); allocs > 3 {
 		t.Fatalf("one-packet publish cycle allocates %v per run, want <= 3", allocs)
 	}
 }
 
-// TestPublishSnapshotImmutable: earlier publication epochs must not change
-// when the engine keeps updating and publishing newer epochs — even though
-// newer epochs alias unchanged node buffers of older ones.
-func TestPublishSnapshotImmutable(t *testing.T) {
-	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 21})
-	r := fastrand.New(22)
-	for i := 0; i < 60000; i++ {
-		eng.Update(gen2D(r))
-	}
-	old := eng.PublishSnapshot(nil)
-	before := old.Output(dom, 0.05)
-	cur := old
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 30000; i++ {
-			eng.Update(gen2D(r))
-		}
-		cur = eng.PublishSnapshot(cur)
-	}
-	after := old.Output(dom, 0.05)
-	if len(before) != len(after) {
-		t.Fatalf("old epoch changed under later publications: %d vs %d results", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("old epoch result %d changed under later publications", i)
-		}
-	}
-}
-
-// TestPublishSnapshotIdleAndSharing: an idle republish returns prev itself;
-// a small traffic delta shares the untouched nodes' buffers and generations
-// with the previous epoch and recopies only the touched nodes.
+// TestPublishSnapshotIdleAndSharing: an idle publish keeps the epoch and
+// the slot; after one packet the new publication shares every untouched
+// node's buffers and generation with the previous one and recopies only the
+// touched node.
 func TestPublishSnapshotIdleAndSharing(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, V: 10 * dom.Size(), Seed: 31})
@@ -292,30 +229,39 @@ func TestPublishSnapshotIdleAndSharing(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		eng.Update(gen2D(r))
 	}
-	a := eng.PublishSnapshot(nil)
-	if got := eng.PublishSnapshot(a); got != a {
-		t.Fatalf("idle republish allocated a new snapshot")
+	ring := core.NewPubRing(eng)
+	a := ring.Current().Snapshot()
+	if ring.Publish() || ring.Epoch() != 0 || ring.Current().Snapshot() != a {
+		t.Fatalf("idle publish moved the publication (epoch %d)", ring.Epoch())
 	}
 	// One packet updates at most R lattice nodes (here R=1), so the next
 	// epoch must share almost every node with the previous one.
 	eng.Update(gen2D(r))
-	b := eng.PublishSnapshot(a)
+	if !ring.Publish() || ring.Epoch() != 1 {
+		t.Fatalf("publish after traffic kept the stale epoch (epoch %d)", ring.Epoch())
+	}
+	b := ring.Current().Snapshot()
 	if b == a {
-		t.Fatalf("republish after traffic returned the stale epoch")
+		t.Fatalf("publish after traffic reused the stale slot")
 	}
 	if b.Gen() == a.Gen() {
 		t.Fatalf("changed epoch kept the snapshot generation")
 	}
 	shared, changed := 0, 0
 	for i := range b.Nodes {
-		if b.Nodes[i].Gen() == a.Nodes[i].Gen() {
-			if b.Nodes[i].N != a.Nodes[i].N {
-				t.Fatalf("node %d shares a generation with different N", i)
-			}
-			shared++
-		} else {
+		if b.Nodes[i].Gen() != a.Nodes[i].Gen() {
 			changed++
+			continue
 		}
+		if b.Nodes[i].N != a.Nodes[i].N {
+			t.Fatalf("node %d shares a generation with different N", i)
+		}
+		if unsafe.SliceData(b.Nodes[i].Keys) != unsafe.SliceData(a.Nodes[i].Keys) ||
+			unsafe.SliceData(b.Nodes[i].Upper) != unsafe.SliceData(a.Nodes[i].Upper) ||
+			unsafe.SliceData(b.Nodes[i].Lower) != unsafe.SliceData(a.Nodes[i].Lower) {
+			t.Fatalf("node %d keeps its generation but not its buffers", i)
+		}
+		shared++
 	}
 	if shared < dom.Size()-1 {
 		t.Fatalf("one packet changed %d of %d nodes; want at most 1", changed, dom.Size())
@@ -325,15 +271,61 @@ func TestPublishSnapshotIdleAndSharing(t *testing.T) {
 	}
 }
 
+// TestPubRingKeepsLastTwoUnpinned: a reader can pass Pin's handshake on
+// either of the last two publications before its pin is visible to the
+// producer, so the publication two behind the current one must still hold
+// its content, unpinned, while the next one is written. One-packet
+// publications make every node's buffers travel between slots.
+func TestPubRingKeepsLastTwoUnpinned(t *testing.T) {
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	eng := core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: 71})
+	r := fastrand.New(72)
+	for i := 0; i < 2000; i++ {
+		eng.Update(gen2D(r))
+	}
+	ring := core.NewPubRing(eng)
+	type pub struct {
+		snap *core.EngineSnapshot[uint64]
+		copy core.EngineSnapshot[uint64]
+	}
+	var last [2]pub // the publications one and two behind
+	for round := 0; round < 3000; round++ {
+		eng.Update(gen2D(r))
+		ring.Publish()
+		for _, p := range last {
+			if p.snap != nil && !sameNodes(p.snap, &p.copy) {
+				t.Fatalf("round %d: a publication within two of the current one changed", round)
+			}
+		}
+		last[1] = last[0]
+		cur := ring.Current().Snapshot()
+		last[0] = pub{snap: cur}
+		last[0].copy.CopyFrom(cur)
+	}
+}
+
+func sameNodes(a, b *core.EngineSnapshot[uint64]) bool {
+	for i := range a.Nodes {
+		x, y := &a.Nodes[i], &b.Nodes[i]
+		if !slices.Equal(x.Keys, y.Keys) || !slices.Equal(x.Upper, y.Upper) || !slices.Equal(x.Lower, y.Lower) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestMergerGenSkipAcrossPublications: the merger's unchanged-input skips key
-// on generations, not pointers, so republished snapshots (fresh pointers,
-// shared node buffers) keep the whole-merge skip when idle and re-merge only
-// touched nodes after a delta — while staying bit-identical to a cold merge.
+// on generations, not pointers. Ring publications move to a fresh slot after
+// a delta but share the untouched nodes' buffers and generations, so an idle
+// merge keeps the whole-merge skip and a merge after a delta re-merges only
+// the touched nodes, while staying bit-identical to a cold merge.
 func TestMergerGenSkipAcrossPublications(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	engines := make([]*core.Engine[uint64], 3)
+	rings := make([]*core.PubRing[uint64], len(engines))
 	for i := range engines {
 		engines[i] = core.New(dom, core.Config{Epsilon: 0.05, Delta: 0.05, Seed: uint64(41 + i)})
+		rings[i] = core.NewPubRing(engines[i])
 	}
 	r := fastrand.New(44)
 	pubs := make([]*core.EngineSnapshot[uint64], len(engines))
@@ -342,35 +334,67 @@ func TestMergerGenSkipAcrossPublications(t *testing.T) {
 			engines[i%len(engines)].Update(gen2D(r))
 		}
 	}
-	feed(150000)
-	for i, e := range engines {
-		pubs[i] = e.PublishSnapshot(pubs[i])
+	publish := func() (changed int) {
+		for i, ring := range rings {
+			if ring.Publish() {
+				changed++
+			}
+			pubs[i] = ring.Current().Snapshot()
+		}
+		return changed
 	}
+	feed(150000)
+	publish()
 
 	var sm core.SnapshotMerger[uint64]
 	var merged core.EngineSnapshot[uint64]
 	sm.Merge(&merged, pubs...)
 	gen0 := merged.Gen()
 
-	// Idle republish: fresh pointers are irrelevant, generations match, the
-	// whole merge is skipped and the destination generation survives.
-	for i, e := range engines {
-		pubs[i] = e.PublishSnapshot(pubs[i])
+	// Idle publish: nothing changes, the whole merge is skipped and the
+	// destination generation survives.
+	if n := publish(); n != 0 {
+		t.Fatalf("idle publish moved %d rings", n)
 	}
 	sm.Merge(&merged, pubs...)
 	if merged.Gen() != gen0 {
 		t.Fatalf("idle republish defeated the whole-merge skip")
 	}
 
-	// Small delta: the merge must pick up the change and stay bit-identical
-	// to a cold merge of the same inputs.
-	feed(50)
-	for i, e := range engines {
-		pubs[i] = e.PublishSnapshot(pubs[i])
+	// Small delta: every ring moves to a fresh slot, and the merge must pick
+	// up the change, keep the nodes no input touched, and stay
+	// bit-identical to a cold merge of the same inputs.
+	before := slices.Clone(pubs)
+	var mergedGens []uint64
+	for i := range merged.Nodes {
+		mergedGens = append(mergedGens, merged.Nodes[i].Gen())
+	}
+	feed(30)
+	if n := publish(); n != len(rings) {
+		t.Fatalf("delta moved %d of %d rings", n, len(rings))
 	}
 	sm.Merge(&merged, pubs...)
 	if merged.Gen() == gen0 {
 		t.Fatalf("changed inputs did not refresh the merged snapshot")
+	}
+	kept := 0
+	for node := range merged.Nodes {
+		touched := false
+		for i := range pubs {
+			if pubs[i] == before[i] {
+				t.Fatalf("ring %d published into the same slot", i)
+			}
+			touched = touched || pubs[i].Nodes[node].Gen() != before[i].Nodes[node].Gen()
+		}
+		if !touched {
+			if merged.Nodes[node].Gen() != mergedGens[node] {
+				t.Fatalf("node %d: no input changed but the merge redid it", node)
+			}
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatalf("30 packets touched every node; the per-node skip went unexercised")
 	}
 	var cold core.SnapshotMerger[uint64]
 	want := cold.Merge(nil, pubs...)

@@ -7,64 +7,75 @@ import (
 )
 
 // PubSlot is one publication buffer owned by a PubRing: an engine snapshot
-// plus the pin count concurrent readers use to keep its buffers alive across
-// recycling. A slot's snapshot is immutable from the moment the producer
-// publishes it (stores a pointer leading to it in an atomic cell) until the
-// ring recycles the slot — which the ring only does once the slot is at
-// least two publications stale and unpinned, so no reader that got past the
-// pin-verify handshake can still be looking at it.
+// plus the pin count readers use to keep its buffers alive across
+// recycling. A slot's snapshot is immutable from the moment the ring
+// publishes it until the ring recycles the slot, which it does only once
+// the slot is at least two publications stale and unpinned, so no reader
+// that got past PubRing.Pin's handshake can still be looking at it.
 type PubSlot[K comparable] struct {
 	snap EngineSnapshot[K]
 	pins atomic.Int64
-	// ownerEpoch is the ring publication count when this slot was last
-	// filled. Producer-goroutine only; readers never touch it.
+	// ownerEpoch is the ring epoch this slot was last published at.
+	// Producer-goroutine only; readers never touch it.
 	ownerEpoch uint64
 }
 
-// Snapshot returns the slot's published engine snapshot. Valid while the
-// slot is current, one publication behind, or pinned.
+// Snapshot returns the slot's published engine snapshot. A reader may use
+// it until it calls Unpin; the producer may use it while the slot is the
+// ring's current publication.
 func (s *PubSlot[K]) Snapshot() *EngineSnapshot[K] { return &s.snap }
 
-// Pin marks the slot as in use by a reader, excluding its buffers from
-// recycling. The reader handshake is pin-then-verify: load the publication
-// cell, Pin the slot it leads to, then re-load the cell — if the published
-// epoch has advanced by 2 or more since the first load, Unpin and retry
-// without touching the snapshot (the ring may already be rewriting it). A
-// reader that observes a lag below 2 after pinning is safe: the ring only
-// recycles slots at lag ≥ 2, and the pin of any reader that passed the
-// verify is visible to the producer by then (both sides use sequentially
-// consistent atomics), so the recycle check sees it.
-func (s *PubSlot[K]) Pin() { s.pins.Add(1) }
-
-// Unpin releases a Pin. Call it as soon as the reader is done with the
-// snapshot (merged, copied, or verify failed) — a held pin forces the ring
-// to allocate fresh buffers instead of recycling.
+// Unpin releases a pin taken by PubRing.Pin. Call it as soon as the reader
+// is done with the snapshot: a held pin forces the ring to allocate fresh
+// buffers instead of recycling.
 func (s *PubSlot[K]) Unpin() { s.pins.Add(-1) }
 
-// PubRing publishes engine snapshots for a single producer goroutine while
-// recycling the snapshot buffers of publications no reader can still
-// observe, so steady-state re-publication allocates nothing. It is the
-// allocation-free counterpart of Engine.PublishSnapshot: same immutability
-// contract toward readers, same per-node buffer sharing with the previous
-// publication, but reclamation is explicit (pin counts + staleness) instead
-// of left to the garbage collector.
+// PubRing publishes an engine's snapshots from its single producer
+// goroutine to any number of concurrent readers, recycling the buffers of
+// publications no reader can still observe, so steady-state publication
+// allocates nothing. Each publication shares unchanged node buffers (and
+// their mutation generations) with the previous one, so downstream
+// generation-keyed merge and index caches stay warm.
 //
-// All PubRing methods are producer-goroutine only; readers interact with
-// slots exclusively through Pin/Unpin/Snapshot.
+// The ring owns the whole protocol. The producer calls Publish; a reader
+// calls Pin, reads the pinned slot's snapshot and Unpins it. Epoch and
+// Weight are safe from any goroutine; every other method belongs to the
+// producer.
 type PubRing[K comparable] struct {
+	// The reader-visible publication, padded onto its own cache lines so a
+	// ring's publications and its readers' loads never false-share with a
+	// neighbouring ring's (one ring per worker, allocated side by side).
+	// cur is stored before epoch and weight: Pin's handshake relies on it.
+	_      [64]byte
+	cur    atomic.Pointer[PubSlot[K]]
+	epoch  atomic.Uint64
+	weight atomic.Uint64
+	_      [40]byte
+
+	// Producer-goroutine state. seq is epoch's producer-side copy and
+	// prev the slot cur points to.
 	eng   *Engine[K]
+	prev  *PubSlot[K]
+	seq   uint64
 	slots []*PubSlot[K]
-	epoch uint64
 	prot  []*EngineSnapshot[K] // scratch for the per-publication protected set
 }
 
-// NewPubRing builds a publication ring over the engine. Only the snapshot
-// backends (Space Saving, CHK) are supported, as with SnapshotInto.
+// NewPubRing builds a publication ring over the engine and publishes the
+// engine's current state as epoch 0, so readers always find a publication.
+// Only the snapshot backends (Space Saving, CHK) are supported, as with
+// SnapshotInto. The caller becomes the ring's producer and must own the
+// engine.
 func NewPubRing[K comparable](eng *Engine[K]) *PubRing[K] {
 	if eng.ss == nil && eng.chk == nil {
 		panic("core: snapshots require the Space Saving or CHK backend")
 	}
-	return &PubRing[K]{eng: eng}
+	r := &PubRing[K]{eng: eng}
+	slot := &PubSlot[K]{}
+	r.slots = append(r.slots, slot)
+	r.fill(slot)
+	r.store(slot)
+	return r
 }
 
 // Slots returns the number of slot buffers the ring has allocated — it
@@ -73,33 +84,46 @@ func NewPubRing[K comparable](eng *Engine[K]) *PubRing[K] {
 // spare has gone unused for spareIdle publications (see take).
 func (r *PubRing[K]) Slots() int { return len(r.slots) }
 
-// Publish captures the engine's state into a slot and returns it. prev must
-// be the slot returned by the previous Publish (nil only on the first call).
-// When the engine is unchanged since prev, prev itself is returned and
-// nothing is written — the caller keeps its published pointer and epoch.
-// Otherwise the returned slot is a different one than prev: unchanged nodes
-// alias prev's node buffers (keeping their mutation generations, so
-// downstream gen-keyed merge and index caches stay warm), and changed nodes
-// are rewritten into buffers no observable snapshot references — the slot's
-// own arrays when nothing aliases them, fresh allocations otherwise.
-//
-// The caller must make the returned slot reachable from its atomic
-// publication cell before the next Publish, and bump its published epoch by
-// exactly one per publication — the reader pin-verify handshake and the
-// ring's lag-≥2 recycle rule both count in those epochs.
-func (r *PubRing[K]) Publish(prev *PubSlot[K]) *PubSlot[K] {
+// Epoch returns the number of publications since the ring was built: it
+// increments on every Publish that changed state. Safe from any goroutine.
+func (r *PubRing[K]) Epoch() uint64 { return r.epoch.Load() }
+
+// Weight returns the stream weight of the ring's latest publication. Safe
+// from any goroutine.
+func (r *PubRing[K]) Weight() uint64 { return r.weight.Load() }
+
+// Publish captures the engine's state into a slot and makes it the ring's
+// current publication, reporting whether it did. When the engine is
+// unchanged since the last publication nothing is written and the epoch
+// stays. Otherwise the new slot's unchanged nodes alias the previous
+// publication's node buffers, keeping their mutation generations, and
+// changed nodes are rewritten into buffers no observable snapshot
+// references — the slot's own arrays when nothing aliases them, fresh
+// allocations otherwise.
+func (r *PubRing[K]) Publish() bool {
 	e := r.eng
-	var prevSnap *EngineSnapshot[K]
-	if prev != nil {
-		prevSnap = &prev.snap
-	}
-	if prevSnap != nil && prevSnap.src == e && prevSnap.srcEpoch == e.epoch &&
+	prev := r.prev
+	prevSnap := &prev.snap
+	if prevSnap.src == e && prevSnap.srcEpoch == e.epoch &&
 		prevSnap.Packets == e.packets && prevSnap.Weight == e.Weight() {
-		return prev
+		return false
 	}
 	slot := r.take(prev)
-	r.epoch++
-	prot := r.protected(prev, slot)
+	r.seq++
+	r.fill(slot)
+	r.store(slot)
+	return true
+}
+
+// fill captures the engine into slot at epoch r.seq, aliasing the nodes
+// unchanged since r.prev (nil on the first publication).
+func (r *PubRing[K]) fill(slot *PubSlot[K]) {
+	e := r.eng
+	var prevSnap *EngineSnapshot[K]
+	if r.prev != nil {
+		prevSnap = &r.prev.snap
+	}
+	prot := r.protected(slot)
 	samePrev := prevSnap != nil && prevSnap.src == e && prevSnap.srcEpoch == e.epoch &&
 		len(prevSnap.Nodes) == len(e.inst)
 	dst := &slot.snap
@@ -141,11 +165,75 @@ func (r *PubRing[K]) Publish(prev *PubSlot[K]) *PubSlot[K] {
 	dst.Epsilon, dst.Delta = e.epsilon, e.delta
 	dst.gen = nextSnapGen()
 	dst.src, dst.srcEpoch = e, e.epoch
-	slot.ownerEpoch = r.epoch
+	slot.ownerEpoch = r.seq
 	// The protected set is this publication's scratch: holding on to it
 	// would keep a slot take has since dropped alive.
 	clear(prot)
-	return slot
+}
+
+// store makes slot the current publication: the slot pointer first, then
+// the epoch and weight readers see.
+func (r *PubRing[K]) store(slot *PubSlot[K]) {
+	r.prev = slot
+	r.cur.Store(slot)
+	r.epoch.Store(r.seq)
+	r.weight.Store(slot.snap.Weight)
+}
+
+// Pin returns the ring's current publication, pinned so the ring will not
+// recycle its buffers until Unpin, and how many times the handshake had to
+// retry. Safe from any goroutine.
+//
+// The handshake: load the epoch (e), load the current slot, pin it, then
+// load the epoch again. If it advanced by two or more, the ring may already
+// be rewriting the slot: unpin and retry without reading it. Otherwise the
+// pin is safe. The slot went out at epoch e or later, and the ring recycles
+// a slot, or rewrites a buffer it aliases, only in the third publication
+// after the slot's own, scanning the pins after storing the second. A second
+// load below e+2 precedes that store, so the scan sees the pin (both sides
+// use sequentially consistent atomics).
+func (r *PubRing[K]) Pin() (*PubSlot[K], int) {
+	for retries := 0; ; retries++ {
+		e := r.epoch.Load()
+		slot := r.cur.Load()
+		slot.pins.Add(1)
+		if r.epoch.Load()-e < 2 {
+			return slot, retries
+		}
+		slot.Unpin()
+	}
+}
+
+// PinSet pins one publication from each of several rings at once — the
+// reader's view of a sharded engine — reusing its scratch so a warm Pin
+// allocates nothing. It is not safe for concurrent use: give each reader
+// its own.
+type PinSet[K comparable] struct {
+	slots []*PubSlot[K]
+	snaps []*EngineSnapshot[K]
+}
+
+// Pin pins every ring's current publication and returns their snapshots in
+// ring order, valid until Unpin, with the total handshake retries.
+func (p *PinSet[K]) Pin(rings []*PubRing[K]) ([]*EngineSnapshot[K], int) {
+	p.slots, p.snaps = p.slots[:0], p.snaps[:0]
+	retries := 0
+	for _, r := range rings {
+		slot, n := r.Pin()
+		p.slots = append(p.slots, slot)
+		p.snaps = append(p.snaps, slot.Snapshot())
+		retries += n
+	}
+	return p.snaps, retries
+}
+
+// Unpin releases every pin the last Pin took.
+func (p *PinSet[K]) Unpin() {
+	for _, s := range p.slots {
+		s.Unpin()
+	}
+	clear(p.slots)
+	clear(p.snaps)
 }
 
 const (
@@ -170,7 +258,7 @@ const (
 func (r *PubRing[K]) take(prev *PubSlot[K]) *PubSlot[K] {
 	var got *PubSlot[K]
 	for _, s := range r.slots {
-		if s != prev && s.ownerEpoch+2 <= r.epoch && s.pins.Load() == 0 {
+		if s != prev && s.ownerEpoch+2 <= r.seq && s.pins.Load() == 0 {
 			got = s
 			break
 		}
@@ -183,7 +271,7 @@ func (r *PubRing[K]) take(prev *PubSlot[K]) *PubSlot[K] {
 	if len(r.slots) > steadySlots {
 		kept := r.slots[:0]
 		for _, s := range r.slots {
-			if s == got || s == prev || s.ownerEpoch+spareIdle > r.epoch || s.pins.Load() != 0 {
+			if s == got || s == prev || s.ownerEpoch+spareIdle > r.seq || s.pins.Load() != 0 {
 				kept = append(kept, s)
 			}
 		}
@@ -193,19 +281,21 @@ func (r *PubRing[K]) take(prev *PubSlot[K]) *PubSlot[K] {
 	return got
 }
 
-// protected collects the snapshots a concurrent reader may legitimately
-// still be reading: the previous publication (observable at lag 0 and 1
-// without a visible pin) and every pinned slot. Buffers these snapshots
-// alias must not be rewritten this publication. A pin that lands after this
-// scan belongs to a reader whose verify will see lag ≥ 2 and retry without
+// protected collects the snapshots a reader may still be reading while
+// publication r.seq is written: the last two publications, r.seq-1 and
+// r.seq-2, which a reader can pass Pin's handshake on without its pin being
+// visible yet (its verify load sees at most r.seq-1), and every pinned
+// slot. Buffers these snapshots alias must not be rewritten this
+// publication. A pin that lands after this scan on any older slot belongs
+// to a reader whose verify sees a lag of 2 or more and retries without
 // reading, so missing it is harmless.
-func (r *PubRing[K]) protected(prev, target *PubSlot[K]) []*EngineSnapshot[K] {
+func (r *PubRing[K]) protected(target *PubSlot[K]) []*EngineSnapshot[K] {
 	r.prot = r.prot[:0]
 	for _, s := range r.slots {
 		if s == target {
 			continue
 		}
-		if s == prev || s.pins.Load() != 0 {
+		if s.ownerEpoch+2 >= r.seq || s.pins.Load() != 0 {
 			r.prot = append(r.prot, &s.snap)
 		}
 	}

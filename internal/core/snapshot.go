@@ -122,75 +122,6 @@ func (e *Engine[K]) SnapshotInto(dst *EngineSnapshot[K]) *EngineSnapshot[K] {
 // Snapshot returns a freshly allocated snapshot of the engine.
 func (e *Engine[K]) Snapshot() *EngineSnapshot[K] { return e.SnapshotInto(nil) }
 
-// PublishSnapshot captures the engine's state as an immutable snapshot
-// suitable for lock-free publication through an atomic pointer: the returned
-// snapshot (and everything it references) is never mutated by a later call,
-// so readers may hold it indefinitely while the single producer goroutine
-// keeps updating the engine and publishing newer epochs. Reclamation is the
-// garbage collector's job — no reference counting, no buffer reuse.
-//
-// prev is the previously published snapshot (nil for the first publication).
-// When the engine is unchanged since prev was captured, prev itself is
-// returned, so idle publications allocate nothing and keep every downstream
-// generation-keyed query cache warm. Otherwise a new snapshot is allocated
-// whose unchanged nodes alias prev's node buffers (per-node summary weights
-// are monotone, so an equal N at the same engine epoch means identical
-// contents — the same invariant SnapshotInto relies on), and only changed
-// nodes are freshly copied. Sharing keeps the per-node mutation generations,
-// which is what lets SnapshotMerger and the Extractor re-merge and re-index
-// only the touched nodes even though every publication is a fresh pointer.
-//
-// prev must itself have come from PublishSnapshot (or be nil): passing a
-// snapshot that is later rewritten in place (e.g. a SnapshotInto buffer)
-// would mutate state aliased by the returned snapshot.
-func (e *Engine[K]) PublishSnapshot(prev *EngineSnapshot[K]) *EngineSnapshot[K] {
-	if e.ss == nil && e.chk == nil {
-		panic("core: snapshots require the Space Saving or CHK backend")
-	}
-	if prev != nil && prev.src == e && prev.srcEpoch == e.epoch &&
-		prev.Packets == e.packets && prev.Weight == e.Weight() {
-		return prev
-	}
-	samePrev := prev != nil && prev.src == e && prev.srcEpoch == e.epoch &&
-		len(prev.Nodes) == len(e.inst)
-	dst := &EngineSnapshot[K]{Nodes: make([]spacesaving.Snapshot[K], len(e.inst))}
-	for i := range e.inst {
-		var n uint64
-		if e.ss != nil {
-			n = e.ss[i].N()
-		} else {
-			n = e.chk[i].N()
-		}
-		if samePrev && prev.Nodes[i].N == n && prev.Nodes[i].Gen() != 0 {
-			// Unchanged node: alias prev's buffers and keep its generation.
-			dst.Nodes[i] = prev.Nodes[i]
-			continue
-		}
-		// Presize the fresh arrays to the node's counter capacity so the
-		// copy is three allocations, not O(log n) append growth steps.
-		if e.ss != nil {
-			nodeCap := e.ss[i].Capacity()
-			dst.Nodes[i].Keys = make([]K, 0, nodeCap)
-			dst.Nodes[i].Upper = make([]uint64, 0, nodeCap)
-			dst.Nodes[i].Lower = make([]uint64, 0, nodeCap)
-			e.ss[i].SnapshotInto(&dst.Nodes[i])
-		} else {
-			nodeCap := e.chk[i].Capacity()
-			dst.Nodes[i].Keys = make([]K, 0, nodeCap)
-			dst.Nodes[i].Upper = make([]uint64, 0, nodeCap)
-			dst.Nodes[i].Lower = make([]uint64, 0, nodeCap)
-			e.chk[i].SnapshotInto(&dst.Nodes[i])
-		}
-	}
-	dst.Packets = e.packets
-	dst.Weight = e.Weight()
-	dst.V, dst.R = int(e.v), e.r
-	dst.Epsilon, dst.Delta = e.epsilon, e.delta
-	dst.gen = nextSnapGen()
-	dst.src, dst.srcEpoch = e, e.epoch
-	return dst
-}
-
 // Output answers the HHH query from the snapshot, exactly as the engine it
 // was taken from would have at capture time: same candidate order, same
 // bounds, same V/r scaling and sampling correction, hence bit-identical
@@ -319,9 +250,8 @@ type SnapshotMerger[K comparable] struct {
 	// by generation alone, not pointer identity: a nonzero generation is
 	// drawn once and stamped on exactly one capture, so equal generations
 	// mean identical contents even across distinct snapshot pointers — this
-	// is what lets PublishSnapshot's fresh-pointer-per-epoch publications
-	// (which alias unchanged node buffers and keep their generations) reuse
-	// the merge. The destination keeps its pointer check because it is
+	// is what lets PubRing's publications (fresh slots that alias unchanged
+	// node buffers and keep their generations) reuse the merge. The destination keeps its pointer check because it is
 	// written in place. The per-node generations refine the skip: when only
 	// some nodes' inputs changed (a small traffic delta between queries),
 	// only those nodes are re-merged.

@@ -2,8 +2,8 @@
 // model, a minimal layered decoder/encoder for Ethernet/VLAN/IPv4/IPv6/
 // TCP/UDP/ICMP (enough to replay real captures), a classic-pcap reader and
 // writer, and seeded synthetic workload generators that stand in for the
-// paper's proprietary CAIDA backbone traces (see DESIGN.md §4 for the
-// substitution argument).
+// paper's CAIDA backbone traces, which cannot be redistributed (the README
+// section "What stands in for the paper's testbed" gives the argument).
 package trace
 
 import (

@@ -9,11 +9,12 @@ import (
 )
 
 // Config describes a synthetic workload. The model stands in for the paper's
-// CAIDA backbone traces (DESIGN.md §4): addresses come from a hierarchical
-// Pareto prefix tree, so traffic mass concentrates at every aggregation
-// level the way popular ASes and subnets concentrate real backbone traffic;
-// packets belong to Zipf-sized flows; and optional planted aggregates inject
-// known hierarchical heavy hitters (e.g. a DDoS victim prefix).
+// CAIDA backbone traces (see the README section "What stands in for the
+// paper's testbed"): addresses come from a hierarchical Pareto prefix tree,
+// so traffic mass concentrates at every aggregation level the way popular
+// ASes and subnets concentrate real backbone traffic; packets belong to
+// Zipf-sized flows; and optional planted aggregates inject known
+// hierarchical heavy hitters (e.g. a DDoS victim prefix).
 type Config struct {
 	// Seed makes the whole trace reproducible.
 	Seed uint64

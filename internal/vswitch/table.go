@@ -10,8 +10,8 @@
 //     (in-process or UDP), which maintains the HH instances (Figure 8).
 //
 // It is a simulation substrate, not a switch you should route production
-// traffic through; see DESIGN.md §4 for what it preserves of the original
-// experiment.
+// traffic through; the README section "What stands in for the paper's
+// testbed" lists what it keeps of the original experiment and what not.
 package vswitch
 
 import (

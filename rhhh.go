@@ -192,6 +192,7 @@ type engine interface {
 	V() int
 	Reset()
 	Reseed(seed uint64)
+	TelemetryInto(st *telemetry.EngineStats)
 }
 
 // New validates cfg and builds a Monitor.
@@ -373,12 +374,11 @@ func (m *Monitor) Reset() { m.eng.Reset() }
 // counters every telemetryPublishPackets packets — the uninstrumented cost
 // is one predictable branch per update. Call it before feeding traffic; the
 // monitor is single-threaded, so the hookup shares its owner's ordering.
-// It returns nil; a nil reg is a no-op.
-func (m *Monitor) Instrument(reg *telemetry.Registry) error {
+// A nil reg is a no-op.
+func (m *Monitor) Instrument(reg *telemetry.Registry) {
 	if reg != nil {
 		m.impl.instrument(reg)
 	}
-	return nil
 }
 
 // toAddr converts a netip.Addr to the internal 128-bit form, validating the

@@ -45,7 +45,7 @@ type Sharded struct {
 
 	// aggMu serializes queries (merge and extract reuse the aggregator's
 	// scratch); producers never take it — they only publish through their
-	// own atomic cell.
+	// own core.PubRing.
 	aggMu sync.Mutex
 	agg   shardAgg
 
@@ -91,14 +91,15 @@ const (
 	defaultPublishBatches = 64
 )
 
-// Worker is one producer's handle: a private monitor plus the atomic cell its
-// publications go through. A worker is strictly single-producer — give every
-// producing goroutine its own — and its update path takes no locks and
+// Worker is one producer's handle: a private monitor plus the publication
+// ring its snapshots go through. A worker is strictly single-producer — give
+// every producing goroutine its own — and its update path takes no locks and
 // performs no atomic read-modify-write operations; the only synchronization
-// is one atomic pointer store per publication, amortized over the cadence.
+// is the ring's atomic stores once per publication, amortized over the
+// cadence.
 type Worker struct {
 	m    *Monitor
-	cell *pubCell
+	ring publisher
 
 	// Owner-goroutine cadence state, unsynchronized by design. The
 	// effective cadence is the configured pubPackets/pubBatches times the
@@ -112,14 +113,6 @@ type Worker struct {
 	pubBatches int
 	curBatches int            // pubBatches × scale, recomputed at Sync
 	scale      *atomic.Uint32 // the Sharded's pubScale
-
-	// publish captures the worker's engine into a publication slot sharing
-	// unchanged node buffers with prev and recycling buffers no reader can
-	// still observe (see core.PubRing); installed by the carrier-typed
-	// aggregator along with the producer-only ring/engine telemetry hooks.
-	publish   func(prev any) (snap any, weight uint64)
-	ringSlots func() int
-	engTelem  func(*telemetry.EngineStats)
 
 	// Telemetry block installed by Sharded.Instrument before producers
 	// start; nil means uninstrumented. syncs/pubs are the owner-side live
@@ -139,23 +132,13 @@ type Worker struct {
 	firstPending atomic.Int64
 }
 
-// pubCell is one worker's publication slot, padded onto its own cache lines
-// so a worker's publications and the query side's loads never false-share
-// with a neighboring worker's.
-type pubCell struct {
-	_ [64]byte
-	v atomic.Value // *pubState, never nil after construction
-	_ [48]byte
-}
-
-// pubState is one published epoch: the carrier-typed publication slot plus
-// the epoch counter and published stream weight. A pubState is immutable;
-// the slot it points to stays readable while this state is current or one
-// epoch behind, and beyond that only under a reader pin (see core.PubSlot).
-type pubState struct {
-	snap   any // *core.PubSlot[K]
-	epoch  uint64
-	weight uint64
+// publisher is the part of a worker's *core.PubRing[K] that does not
+// depend on K.
+type publisher interface {
+	Publish() bool
+	Epoch() uint64
+	Weight() uint64
+	Slots() int
 }
 
 // pubCheck is the slow half of the update paths' watermark branch. nextPub
@@ -219,11 +202,10 @@ func (w *Worker) UpdateWeightedBatch(srcs, dsts []netip.Addr, ws []uint64) {
 // an idle Sync — nothing absorbed since the last publication — is nearly free
 // and publishes nothing new.
 func (w *Worker) Sync() {
-	prev := w.cell.v.Load().(*pubState)
-	snap, weight := w.publish(prev.snap)
+	published := w.ring.Publish()
 	w.batches = 0
-	// Everything absorbed so far is captured in snap: no intake is pending
-	// anymore, whether or not the publication changed state.
+	// Everything absorbed so far is in the ring's current publication: no
+	// intake is pending anymore, whether or not this Sync published.
 	w.firstPending.Store(0)
 	k := uint64(1)
 	if w.scale != nil {
@@ -237,18 +219,12 @@ func (w *Worker) Sync() {
 	w.pubDue = w.count + w.pubPackets*k
 	w.nextPub = w.count + 1
 	w.curBatches = w.pubBatches * int(k)
-	if snap == prev.snap {
-		if w.tm != nil {
-			w.syncs++
-			w.publishTelemetry(prev.epoch)
-		}
-		return // unchanged: keep the published epoch
-	}
-	w.cell.v.Store(&pubState{snap: snap, epoch: prev.epoch + 1, weight: weight})
 	if w.tm != nil {
 		w.syncs++
-		w.pubs++
-		w.publishTelemetry(prev.epoch + 1)
+		if published {
+			w.pubs++
+		}
+		w.publishTelemetry()
 	}
 }
 
@@ -256,14 +232,14 @@ func (w *Worker) Sync() {
 // aggregates into the telemetry block. Producer-goroutine only; runs once
 // per Sync, so its O(H) engine walk is amortized over the publication
 // cadence.
-func (w *Worker) publishTelemetry(epoch uint64) {
+func (w *Worker) publishTelemetry() {
 	tm := w.tm
 	tm.Syncs.Store(w.syncs)
 	tm.Publications.Store(w.pubs)
-	tm.Epoch.Store(epoch)
-	tm.RingSlots.Store(uint64(w.ringSlots()))
+	tm.Epoch.Store(w.ring.Epoch())
+	tm.RingSlots.Store(uint64(w.ring.Slots()))
 	tm.LastPublish.Store(uint64(time.Now().UnixNano()))
-	w.engTelem(&tm.Engine)
+	w.m.eng.TelemetryInto(&tm.Engine)
 }
 
 // N returns the worker's live stream weight. Owner-goroutine read, like the
@@ -273,11 +249,11 @@ func (w *Worker) N() uint64 { return w.m.N() }
 
 // Epoch returns the worker's published epoch number, which increments on
 // every publication that changed state. Safe from any goroutine.
-func (w *Worker) Epoch() uint64 { return w.cell.v.Load().(*pubState).epoch }
+func (w *Worker) Epoch() uint64 { return w.ring.Epoch() }
 
 // PublishedN returns the stream weight of the worker's latest publication.
 // Safe from any goroutine.
-func (w *Worker) PublishedN() uint64 { return w.cell.v.Load().(*pubState).weight }
+func (w *Worker) PublishedN() uint64 { return w.ring.Weight() }
 
 // NewSharded builds n shared-nothing workers with the default publication
 // cadence. cfg is validated as by New.
@@ -299,7 +275,6 @@ func NewShardedOptions(cfg Config, n int, opts ShardedOptions) (*Sharded, error)
 		pubBatches = defaultPublishBatches
 	}
 	s := &Sharded{cfg: cfg, workers: make([]*Worker, n)}
-	monitors := make([]*Monitor, n)
 	for i := range s.workers {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)*0x9e3779b97f4a7c15
@@ -307,10 +282,8 @@ func NewShardedOptions(cfg Config, n int, opts ShardedOptions) (*Sharded, error)
 		if err != nil {
 			return nil, err
 		}
-		monitors[i] = m
 		s.workers[i] = &Worker{
 			m:          m,
-			cell:       &pubCell{},
 			pubPackets: pubPackets,
 			pubBatches: pubBatches,
 			curBatches: pubBatches,
@@ -320,22 +293,17 @@ func NewShardedOptions(cfg Config, n int, opts ShardedOptions) (*Sharded, error)
 		}
 	}
 	// All workers share the same concrete impl type; dispatch on the first.
-	switch im := monitors[0].impl.(type) {
+	switch im := s.workers[0].m.impl.(type) {
 	case *impl[uint32]:
-		s.agg = newAggState(im, monitors)
+		s.agg = newAggState(im, s.workers)
 	case *impl[uint64]:
-		s.agg = newAggState(im, monitors)
+		s.agg = newAggState(im, s.workers)
 	case *impl[hierarchy.Addr]:
-		s.agg = newAggState(im, monitors)
+		s.agg = newAggState(im, s.workers)
 	case *impl[hierarchy.AddrPair]:
-		s.agg = newAggState(im, monitors)
+		s.agg = newAggState(im, s.workers)
 	default:
-		return nil, fmt.Errorf("rhhh: unknown shard implementation %T", monitors[0].impl)
-	}
-	for i, w := range s.workers {
-		w.publish, w.ringSlots, w.engTelem = s.agg.publisher(i)
-		snap, weight := w.publish(nil)
-		w.cell.v.Store(&pubState{snap: snap, weight: weight})
+		return nil, fmt.Errorf("rhhh: unknown shard implementation %T", s.workers[0].m.impl)
 	}
 	return s, nil
 }
@@ -357,7 +325,7 @@ func (s *Sharded) Instrument(reg *telemetry.Registry) {
 		tm.Register(reg, fmt.Sprintf(`{worker="%d"}`, i))
 		w.tm = tm
 		// Seed the gauges so occupancy/slots are live before first traffic.
-		w.publishTelemetry(w.Epoch())
+		w.publishTelemetry()
 	}
 	s.aggMu.Lock()
 	s.qtm = &telemetry.QueryStats{}
@@ -470,7 +438,7 @@ func (s *Sharded) HeavyHitters(theta float64) []HeavyHitter {
 	}
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	return s.agg.query(s.workers, theta)
+	return s.agg.query(theta)
 }
 
 // Snapshot merges every worker's latest publication into one standalone
@@ -480,7 +448,7 @@ func (s *Sharded) Snapshot() *Snapshot {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
 	return &Snapshot{
-		impl: s.agg.freshSnapshot(s.workers),
+		impl: s.agg.freshSnapshot(),
 		dims: s.cfg.Dims,
 		gran: s.cfg.Granularity,
 		ipv6: s.cfg.IPv6,
@@ -489,10 +457,9 @@ func (s *Sharded) Snapshot() *Snapshot {
 
 // shardAgg is the carrier-typed aggregator behind the query path.
 type shardAgg interface {
-	query(workers []*Worker, theta float64) []HeavyHitter
-	freshSnapshot(workers []*Worker) snapCore
-	watchHub(s *Sharded) watchCtl
-	publisher(i int) (pub func(prev any) (snap any, weight uint64), ringSlots func() int, engTelem func(*telemetry.EngineStats))
+	query(theta float64) []HeavyHitter
+	freshSnapshot() snapCore
+	watchHub() watchCtl
 	instrument(q *telemetry.QueryStats)
 
 	// Incremental-checkpoint surface (see Checkpointer): append encodes
@@ -500,7 +467,7 @@ type shardAgg interface {
 	// committed base; commit advances the base after the bytes are
 	// durable; apply loads a recovered full+journal into worker 0's
 	// engine. All three run under the Sharded's aggMu.
-	appendCheckpoint(workers []*Worker, buf []byte, wantFull bool) (out []byte, wroteFull bool, err error)
+	appendCheckpoint(buf []byte, wantFull bool) (out []byte, wroteFull bool, err error)
 	commitCheckpoint()
 	applyCheckpoint(full []byte, segs [][]byte) error
 }
@@ -512,18 +479,16 @@ type shardAgg interface {
 // reads past its head, and a query with no new publications short-circuits
 // entirely. The merger serves Snapshot alone.
 type aggState[K comparable] struct {
-	im      *impl[K]
-	engines []*core.Engine[K]
-	pinned  []*core.PubSlot[K]
-	ptrs    []*core.EngineSnapshot[K]
-	sm      core.SnapshotMerger[K]
-	ex      *core.Extractor[K]
-	conv    converter[K]
+	im    *impl[K]           // worker 0's, whose engine a checkpoint restores into
+	rings []*core.PubRing[K] // one per worker, in worker order
+	pins  core.PinSet[K]
+	sm    core.SnapshotMerger[K]
+	ex    *core.Extractor[K]
+	conv  converter[K]
 
-	// Watch-path pin scratch, separate from the query path's: the watch hub
+	// Watch-path pins, separate from the query path's: the watch hub
 	// serializes its ticks on its own lock.
-	wpinned []*core.PubSlot[K]
-	wptrs   []*core.EngineSnapshot[K]
+	wpins core.PinSet[K]
 
 	// Checkpoint scratch, owned by aggMu holders. ckptMerged is a second
 	// merge destination (nothing else overwrites it between an append and
@@ -547,85 +512,32 @@ type aggState[K comparable] struct {
 
 func (a *aggState[K]) instrument(q *telemetry.QueryStats) { a.qtm = q }
 
-func newAggState[K comparable](first *impl[K], monitors []*Monitor) *aggState[K] {
-	a := &aggState[K]{
-		im:      first,
-		engines: make([]*core.Engine[K], len(monitors)),
-		pinned:  make([]*core.PubSlot[K], 0, len(monitors)),
-		ptrs:    make([]*core.EngineSnapshot[K], 0, len(monitors)),
-		wpinned: make([]*core.PubSlot[K], 0, len(monitors)),
-		wptrs:   make([]*core.EngineSnapshot[K], 0, len(monitors)),
-		ex:      core.NewExtractor(first.dom),
-	}
-	for i, m := range monitors {
-		a.engines[i] = m.impl.(*impl[K]).eng
+// newAggState builds the aggregator and gives every worker a publication
+// ring over its engine (the ring publishes epoch 0 on construction, so
+// readers always find a snapshot).
+func newAggState[K comparable](first *impl[K], workers []*Worker) *aggState[K] {
+	a := &aggState[K]{im: first, ex: core.NewExtractor(first.dom)}
+	for _, w := range workers {
+		ring := core.NewPubRing(w.m.impl.(*impl[K]).eng)
+		a.rings = append(a.rings, ring)
+		w.ring = ring
 	}
 	return a
-}
-
-// publisher returns worker i's publish closure: a capture of its engine into
-// the worker's publication ring, sharing unchanged node buffers with the
-// previous publication and recycling buffers no reader can still observe.
-func (a *aggState[K]) publisher(i int) (func(prev any) (any, uint64), func() int, func(*telemetry.EngineStats)) {
-	ring := core.NewPubRing(a.engines[i])
-	eng := a.engines[i]
-	pub := func(prev any) (any, uint64) {
-		var p *core.PubSlot[K]
-		if prev != nil {
-			p = prev.(*core.PubSlot[K])
-		}
-		slot := ring.Publish(p)
-		return slot, slot.Snapshot().Weight
-	}
-	return pub, ring.Slots, eng.TelemetryInto
-}
-
-// pinPubs pins every worker's latest published snapshot and collects the
-// snapshot pointers (reused scratch, allocation-free once grown). The
-// pin-then-verify handshake per worker: load the cell, pin the slot, re-load
-// — if the published epoch advanced by 2 or more in between, the ring may
-// already be recycling that slot's buffers, so unpin and retry. Callers must
-// unpinPubs as soon as they are done reading.
-func pinPubs[K comparable](workers []*Worker, slots []*core.PubSlot[K], ptrs []*core.EngineSnapshot[K]) ([]*core.PubSlot[K], []*core.EngineSnapshot[K], int) {
-	slots, ptrs = slots[:0], ptrs[:0]
-	retries := 0
-	for _, w := range workers {
-		for {
-			st := w.cell.v.Load().(*pubState)
-			slot := st.snap.(*core.PubSlot[K])
-			slot.Pin()
-			if w.cell.v.Load().(*pubState).epoch-st.epoch < 2 {
-				slots = append(slots, slot)
-				ptrs = append(ptrs, slot.Snapshot())
-				break
-			}
-			slot.Unpin()
-			retries++
-		}
-	}
-	return slots, ptrs, retries
-}
-
-func unpinPubs[K comparable](slots []*core.PubSlot[K]) {
-	for _, s := range slots {
-		s.Unpin()
-	}
 }
 
 // query runs the Output procedure over the latest published snapshot set —
 // entirely against pinned publications, never against live engines. The
 // pins are held until extraction ends: the extractor reads the
 // publications in place.
-func (a *aggState[K]) query(workers []*Worker, theta float64) []HeavyHitter {
+func (a *aggState[K]) query(theta float64) []HeavyHitter {
 	var t0 time.Time
 	var merges0 uint64
 	if a.qtm != nil {
 		t0, merges0 = time.Now(), a.ex.NodeMerges()
 	}
-	var retries int
-	a.pinned, a.ptrs, retries = pinPubs(workers, a.pinned, a.ptrs)
-	rs := a.ex.ExtractSnapshots(a.ptrs, theta)
-	unpinPubs(a.pinned)
+	snaps, retries := a.pins.Pin(a.rings)
+	rs := a.ex.ExtractSnapshots(snaps, theta)
+	a.pins.Unpin()
 	res := a.conv.convert(a.im.dom, a.im.split, rs)
 	if a.qtm != nil {
 		a.qtm.Queries.Add(1)
@@ -641,12 +553,11 @@ func (a *aggState[K]) query(workers []*Worker, theta float64) []HeavyHitter {
 // freshSnapshot merges the latest published set through the warm merger
 // straight into a new snapshot state: it escapes to the caller, so it shares
 // no buffers with the aggregator or the publication rings.
-func (a *aggState[K]) freshSnapshot(workers []*Worker) snapCore {
-	var retries int
-	a.pinned, a.ptrs, retries = pinPubs(workers, a.pinned, a.ptrs)
+func (a *aggState[K]) freshSnapshot() snapCore {
+	snaps, retries := a.pins.Pin(a.rings)
 	st := &snapState[K]{dom: a.im.dom, split: a.im.split}
-	a.sm.Merge(&st.es, a.ptrs...)
-	unpinPubs(a.pinned)
+	a.sm.Merge(&st.es, snaps...)
+	a.pins.Unpin()
 	if a.qtm != nil {
 		a.qtm.Queries.Add(1)
 		a.qtm.PinRetries.Add(uint64(retries))
@@ -661,10 +572,10 @@ func (a *aggState[K]) freshSnapshot(workers []*Worker) snapCore {
 // advanced here: the caller writes the bytes to disk first and commits
 // only on durable success, so a failed write leaves the delta chain
 // anchored at the last state that is actually recoverable.
-func (a *aggState[K]) appendCheckpoint(workers []*Worker, buf []byte, wantFull bool) ([]byte, bool, error) {
-	a.pinned, a.ptrs, _ = pinPubs(workers, a.pinned, a.ptrs)
-	merged := a.ckptSM.Merge(&a.ckptMerged, a.ptrs...)
-	unpinPubs(a.pinned)
+func (a *aggState[K]) appendCheckpoint(buf []byte, wantFull bool) ([]byte, bool, error) {
+	snaps, _ := a.pins.Pin(a.rings)
+	merged := a.ckptSM.Merge(&a.ckptMerged, snaps...)
+	a.pins.Unpin()
 	if !a.ckptHasBase {
 		wantFull = true
 	}
@@ -715,7 +626,7 @@ func (a *aggState[K]) applyCheckpoint(full []byte, segs [][]byte) error {
 			return fmt.Errorf("rhhh: checkpoint segment %d has trailing bytes", i+1)
 		}
 	}
-	if err := a.engines[0].LoadSnapshot(es); err != nil {
+	if err := a.im.eng.LoadSnapshot(es); err != nil {
 		return fmt.Errorf("rhhh: checkpoint restore: %w", err)
 	}
 	a.ckptBase.CopyFrom(es)
@@ -728,17 +639,16 @@ func (a *aggState[K]) applyCheckpoint(full []byte, segs [][]byte) error {
 // snapshot set once for every subscription, and unpins it after the last
 // extraction — producers are never paused, and the watch driver does not
 // contend with queries. Ticks serialize on the hub lock.
-func (a *aggState[K]) watchHub(s *Sharded) watchCtl {
+func (a *aggState[K]) watchHub() watchCtl {
 	capture := func() []*core.EngineSnapshot[K] {
-		var retries int
-		a.wpinned, a.wptrs, retries = pinPubs(s.workers, a.wpinned, a.wptrs)
+		snaps, retries := a.wpins.Pin(a.rings)
 		if retries != 0 && a.qtm != nil {
 			a.qtm.PinRetries.Add(uint64(retries))
 		}
-		return a.wptrs
+		return snaps
 	}
 	release := func(merges uint64) {
-		unpinPubs(a.wpinned)
+		a.wpins.Unpin()
 		if a.qtm != nil {
 			a.qtm.NodeMerges.Add(merges)
 		}
@@ -761,7 +671,7 @@ func (s *Sharded) Watch(opts WatchOptions) (*Subscription, error) {
 		return nil, errors.New("rhhh: Watch on a closed Sharded")
 	}
 	if s.hub == nil {
-		s.hub = s.agg.watchHub(s)
+		s.hub = s.agg.watchHub()
 		if s.watchTM != nil {
 			s.hub.instrument(s.watchTM)
 		}

@@ -35,9 +35,7 @@ func TestInstrumentedUpdateZeroAlloc(t *testing.T) {
 	cfg := rhhh.Config{Dims: 2, Epsilon: 0.01, Delta: 0.01, V: 250, Seed: 4}
 
 	m := rhhh.MustNew(cfg)
-	if err := m.Instrument(telemetry.NewRegistry()); err != nil {
-		t.Fatal(err)
-	}
+	m.Instrument(telemetry.NewRegistry())
 	for i := 0; i < 40; i++ { // warm: summaries allocated, eviction path live
 		m.UpdateBatch(srcs, dsts)
 	}
@@ -50,8 +48,8 @@ func TestInstrumentedUpdateZeroAlloc(t *testing.T) {
 
 	// A huge publication cadence pins the between-publication worker path,
 	// exactly like the uninstrumented pin in batch_test.go: publication
-	// itself allocates (a fresh pubState per changed epoch) with or without
-	// telemetry and is amortized over the cadence.
+	// itself may allocate node buffers (while a pin holds a slot) with or
+	// without telemetry, and is amortized over the cadence.
 	s, err := rhhh.NewShardedOptions(cfg, 2,
 		rhhh.ShardedOptions{PublishPackets: 1 << 62, PublishBatches: 1 << 30})
 	if err != nil {
@@ -81,9 +79,7 @@ func TestInstrumentedWatchTickZeroAlloc(t *testing.T) {
 		Dims: 1, Granularity: rhhh.Byte,
 		Epsilon: 0.01, Delta: 0.01, Seed: 4,
 	})
-	if err := m.Instrument(telemetry.NewRegistry()); err != nil {
-		t.Fatal(err)
-	}
+	m.Instrument(telemetry.NewRegistry())
 	heavy := netip.MustParseAddr("10.1.2.3")
 	sub, err := m.Watch(rhhh.WatchOptions{
 		Theta:    0.5,
@@ -153,9 +149,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			m := rhhh.MustNew(rhhh.Config{Dims: 2, Epsilon: 0.001, Delta: 0.001, V: 250, Seed: 1})
 			if tc.inst {
-				if err := m.Instrument(telemetry.NewRegistry()); err != nil {
-					b.Fatal(err)
-				}
+				m.Instrument(telemetry.NewRegistry())
 			}
 			const burst = 256
 			mask := len(srcs) - 1
@@ -175,9 +169,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 func TestWatchTelemetryPrecedesDelivery(t *testing.T) {
 	m := rhhh.MustNew(rhhh.Config{Dims: 1, Epsilon: 0.01, Delta: 0.01, Seed: 4})
 	reg := telemetry.NewRegistry()
-	if err := m.Instrument(reg); err != nil {
-		t.Fatal(err)
-	}
+	m.Instrument(reg)
 	scrape := func(family, sample string) float64 {
 		fams, err := telemetry.ParseProm(string(reg.Gather(nil)))
 		if err != nil {
@@ -213,5 +205,40 @@ func TestWatchTelemetryPrecedesDelivery(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("no delta delivered")
+	}
+}
+
+// TestWindowedInstrument: a sliding Windowed instrumented before traffic
+// counts one flush per completed sub-window and observes the background
+// merges, visible to a scrape once Sync has joined them.
+func TestWindowedInstrument(t *testing.T) {
+	cfg := rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05, Seed: 5}
+	window := uint64(rhhh.Psi(0.05, 0.05, 5))/2 + 1000
+	w, err := rhhh.NewSlidingWindowed(cfg, window, 2, 0.3, func(rhhh.WindowResult) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	reg := telemetry.NewRegistry()
+	w.Instrument(reg)
+	heavy := netip.MustParseAddr("10.1.2.3")
+	for i := uint64(0); i < 3*window+window/2; i++ {
+		w.Update(heavy, netip.Addr{})
+	}
+	w.Sync()
+	fams, err := telemetry.ParseProm(string(reg.Gather(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushes, ok := telemetry.Lookup(fams, "rhhh_window_flushes_total", "rhhh_window_flushes_total", "")
+	if !ok {
+		t.Fatal("rhhh_window_flushes_total missing from the scrape")
+	}
+	if w.Completed() != 3 || flushes.Value != float64(w.Completed()) {
+		t.Fatalf("scrape reads %v flushes after %d completed sub-windows, want 3 and equal", flushes.Value, w.Completed())
+	}
+	merges, ok := telemetry.Lookup(fams, "rhhh_window_merge_seconds", "rhhh_window_merge_seconds_count", "")
+	if !ok || merges.Value == 0 {
+		t.Fatalf("rhhh_window_merge_seconds_count = %v (present %v), want > 0 after Sync", merges.Value, ok)
 	}
 }

@@ -329,9 +329,9 @@ func (w *Windowed) collectRing(limit int) {
 // Instrument registers the window-rotation telemetry (flush count, flush and
 // merge latency, standing-query stats) with reg. Call it before feeding
 // traffic; a nil reg is a no-op.
-func (w *Windowed) Instrument(reg *telemetry.Registry) error {
+func (w *Windowed) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
-		return nil
+		return
 	}
 	w.sync()
 	w.wtm = &telemetry.WindowStats{}
@@ -341,7 +341,6 @@ func (w *Windowed) Instrument(reg *telemetry.Registry) error {
 	if w.hub != nil {
 		w.hub.instrument(w.watchTM)
 	}
-	return nil
 }
 
 // SetResiliencePolicy installs the supervision policy for the background
