@@ -1,9 +1,6 @@
 package rhhh
 
-import (
-	"rhhh/internal/resilience"
-	"rhhh/internal/telemetry"
-)
+import "rhhh/internal/resilience"
 
 // Checkpointer drives crash-safe incremental checkpointing of a Sharded
 // monitor into a resilience.Store: a periodic full checkpoint (the merged
@@ -100,7 +97,7 @@ func (c *Checkpointer) Restore() (restored bool, err error) {
 func (c *Checkpointer) Store() *resilience.Store { return c.store }
 
 // Instrument registers the store's checkpoint counters with reg.
-func (c *Checkpointer) Instrument(reg *telemetry.Registry) {
+func (c *Checkpointer) Instrument(reg *Registry) {
 	if reg == nil {
 		return
 	}

@@ -157,6 +157,7 @@ func runDataplane(cfg dataplaneConfig) (dataplaneReport, error) {
 	rd := &reader{
 		cfg: &cfg, rings: rings,
 		ex: core.NewExtractor(cfg.dom), differ: core.NewDiffer[uint64](),
+		watch:    watchPrinter{out: cfg.out, log: cfg.log, dom: cfg.dom},
 		nextCkpt: ws[0].eng.N() + cfg.ckptEvery, // only worker 0 starts restored
 	}
 	var readErr error
@@ -209,6 +210,7 @@ type reader struct {
 	differ   *core.Differ[uint64]
 	sm       core.SnapshotMerger[uint64]
 	merged   core.EngineSnapshot[uint64]
+	watch    watchPrinter
 	seq      uint64 // watch ticks
 	nextCkpt uint64 // combined packets at which the next periodic checkpoint is due
 }
@@ -238,7 +240,7 @@ func (rd *reader) tick() error {
 	if rd.cfg.watch {
 		rd.seq++
 		if d := rd.differ.Diff(rd.ex.ExtractSnapshots(snaps, rd.cfg.theta), 0); !d.Empty() {
-			printWatchEvents(rd.cfg.out, rd.cfg.dom, rd.seq, weight, d.Admitted, d.Retired, d.Updated)
+			rd.watch.print(rd.seq, weight, d.Admitted, d.Retired, d.Updated)
 		}
 	}
 	due := rd.cfg.ckpt != "" && rd.cfg.ckptEvery > 0 && packets >= rd.nextCkpt

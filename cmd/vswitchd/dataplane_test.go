@@ -172,3 +172,48 @@ func TestDataplaneWatchTicks(t *testing.T) {
 		t.Fatalf("no watch tick printed: %q", out.String())
 	}
 }
+
+// writeCounter records every Write it is handed; fail makes each one fail.
+type writeCounter struct {
+	writes [][]byte
+	fail   error
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(b))
+	if w.fail != nil {
+		return 0, w.fail
+	}
+	return len(b), nil
+}
+
+// TestDataplaneWatchTickIsOneWrite: each -watch tick reaches the output in
+// one Write holding exactly one tick, however many event lines it carries,
+// and a failed write is reported on the log.
+func TestDataplaneWatchTickIsOneWrite(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.watch = true
+	cfg.duration = 200 * time.Millisecond
+	var out writeCounter
+	cfg.out = &out
+	if _, err := runDataplane(cfg); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for i, w := range out.writes {
+		if !bytes.HasPrefix(w, []byte("watch tick=")) || bytes.Count(w, []byte("watch tick=")) != 1 {
+			t.Fatalf("write %d is not one tick: %q", i, w)
+		}
+		lines += bytes.Count(w, []byte("\n"))
+	}
+	if len(out.writes) == 0 || lines <= len(out.writes) {
+		t.Fatalf("%d writes of %d lines: want ticks that carry events", len(out.writes), lines)
+	}
+
+	var log bytes.Buffer
+	wp := watchPrinter{out: &writeCounter{fail: io.ErrShortWrite}, log: &log, dom: cfg.dom}
+	wp.print(3, 100, []core.Result[uint64]{{}}, nil, nil)
+	if !strings.Contains(log.String(), "watch tick 3: "+io.ErrShortWrite.Error()) {
+		t.Fatalf("failed write not logged: %q", log.String())
+	}
+}

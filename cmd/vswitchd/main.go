@@ -172,8 +172,9 @@ func main() {
 		sh := vswitch.NewSamplerHook(dom, v, *seed, tr, 0)
 		hook = sh
 		if *watch {
+			wp := &watchPrinter{out: os.Stdout, log: os.Stderr, dom: dom}
 			w := col.Watch(*theta, 0, *watchIvl, func(d vswitch.CollectorDelta) {
-				printWatchEvents(os.Stdout, dom, d.Seq, d.N, d.Admitted, d.Retired, d.Updated)
+				wp.print(d.Seq, d.N, d.Admitted, d.Retired, d.Updated)
 			})
 			defer w.Close()
 		}
@@ -205,18 +206,31 @@ func main() {
 	report()
 }
 
-// printWatchEvents renders one standing-query delta: + admitted, - retired,
-// ~ updated.
-func printWatchEvents(w io.Writer, dom *hierarchy.Domain[uint64], seq, n uint64, admitted, retired, updated []core.Result[uint64]) {
-	fmt.Fprintf(w, "watch tick=%d N=%d: +%d -%d ~%d\n", seq, n, len(admitted), len(retired), len(updated))
+// watchPrinter writes standing-query ticks to out. Each tick is rendered
+// into one reused buffer and written with a single Write, so a tick of
+// thousands of events costs one write instead of one per line. Not safe for
+// concurrent use.
+type watchPrinter struct {
+	out, log io.Writer // events; a failed write
+	dom      *hierarchy.Domain[uint64]
+	buf      []byte
+}
+
+// print renders one standing-query delta: + admitted, - retired, ~ updated.
+func (p *watchPrinter) print(seq, n uint64, admitted, retired, updated []core.Result[uint64]) {
+	b := fmt.Appendf(p.buf[:0], "watch tick=%d N=%d: +%d -%d ~%d\n", seq, n, len(admitted), len(retired), len(updated))
 	for _, r := range admitted {
-		fmt.Fprintf(w, "  + %-44s f in [%12.0f, %12.0f]\n", dom.Format(r.Key, r.Node), r.Lower, r.Upper)
+		b = fmt.Appendf(b, "  + %-44s f in [%12.0f, %12.0f]\n", p.dom.Format(r.Key, r.Node), r.Lower, r.Upper)
 	}
 	for _, r := range retired {
-		fmt.Fprintf(w, "  - %s\n", dom.Format(r.Key, r.Node))
+		b = fmt.Appendf(b, "  - %s\n", p.dom.Format(r.Key, r.Node))
 	}
 	for _, r := range updated {
-		fmt.Fprintf(w, "  ~ %-44s f in [%12.0f, %12.0f]\n", dom.Format(r.Key, r.Node), r.Lower, r.Upper)
+		b = fmt.Appendf(b, "  ~ %-44s f in [%12.0f, %12.0f]\n", p.dom.Format(r.Key, r.Node), r.Lower, r.Upper)
+	}
+	p.buf = b
+	if _, err := p.out.Write(b); err != nil {
+		fmt.Fprintf(p.log, "vswitchd: watch tick %d: %v\n", seq, err)
 	}
 }
 
@@ -352,8 +366,9 @@ func setupDeltaSync(cfg deltaSyncConfig) (vswitch.Hook, func()) {
 		if cfg.standby {
 			fatalf("-watch cannot follow the collector across -collector-standby fail-over")
 		}
+		wp := &watchPrinter{out: os.Stdout, log: os.Stderr, dom: cfg.dom}
 		w := cfg.col.Watch(cfg.theta, 0, cfg.watchIvl, func(d vswitch.CollectorDelta) {
-			printWatchEvents(os.Stdout, cfg.dom, d.Seq, d.N, d.Admitted, d.Retired, d.Updated)
+			wp.print(d.Seq, d.N, d.Admitted, d.Retired, d.Updated)
 		})
 		prev := cleanup
 		cleanup = func() {

@@ -3,6 +3,7 @@ package rhhh_test
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 
 	"rhhh"
 )
@@ -49,4 +50,27 @@ func ExamplePsi() {
 	// Output:
 	// RHHH:    ψ ≈ 90M packets
 	// 10-RHHH: ψ ≈ 897M packets
+}
+
+// ExampleNewRegistry instruments a sharded monitor with a telemetry
+// registry and reads one worker's packet counter from the Prometheus
+// exposition after Sync has published it.
+func ExampleNewRegistry() {
+	s, err := rhhh.NewSharded(rhhh.Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 1}, 2)
+	if err != nil {
+		panic(err)
+	}
+	reg := rhhh.NewRegistry()
+	s.Instrument(reg)
+	w := s.Worker(0)
+	for i := range 1000 {
+		w.Update(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), netip.AddrFrom4([4]byte{192, 0, 2, 1}))
+	}
+	s.Sync()
+	for _, line := range strings.Split(string(reg.Gather(nil)), "\n") {
+		if strings.HasPrefix(line, `rhhh_engine_packets_total{worker="0"}`) {
+			fmt.Println(line)
+		}
+	}
+	// Output: rhhh_engine_packets_total{worker="0"} 1000
 }

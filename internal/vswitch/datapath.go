@@ -91,11 +91,11 @@ func (d *Datapath) Process(p trace.Packet) Action {
 // five-tuple is hashed once, for the EMC lookup and for a miss's insert.
 func (d *Datapath) forward(p trace.Packet) Action {
 	ft := p.Flow()
-	h := flowHash(ft)
+	h := flowHash(ft, d.Cache.key)
 	var a Action
-	if i := d.Cache.find(ft, h); i >= 0 {
+	if e := d.Cache.find(ft, h); e != nil {
 		d.stats.EMCHits++
-		a = d.Cache.actions[i]
+		a = e.action
 	} else {
 		var ok bool
 		a, ok = d.Table.Lookup(p)

@@ -369,13 +369,21 @@ func (m *Monitor) V() int { return m.eng.V() }
 // Reset clears all measurement state, keeping the configuration.
 func (m *Monitor) Reset() { m.eng.Reset() }
 
+// Registry collects the telemetry that the Instrument methods of Monitor,
+// Sharded, Windowed and Checkpointer register, and renders it in the
+// Prometheus text exposition format (WritePrometheus, Gather).
+type Registry = telemetry.Registry
+
+// NewRegistry returns an empty telemetry registry.
+func NewRegistry() *Registry { return telemetry.NewRegistry() }
+
 // Instrument registers the monitor's telemetry (engine counters, backend
 // occupancy, standing-query stats) with reg. The update path publishes its
 // counters every telemetryPublishPackets packets — the uninstrumented cost
 // is one predictable branch per update. Call it before feeding traffic; the
 // monitor is single-threaded, so the hookup shares its owner's ordering.
 // A nil reg is a no-op.
-func (m *Monitor) Instrument(reg *telemetry.Registry) {
+func (m *Monitor) Instrument(reg *Registry) {
 	if reg != nil {
 		m.impl.instrument(reg)
 	}

@@ -313,10 +313,10 @@ func NewShardedOptions(cfg Config, n int, opts ShardedOptions) (*Sharded, error)
 // query block — with reg. Call it after construction and before any
 // producer goroutine starts: the per-worker hookup is unsynchronized by
 // design (the producer sees it through the happens-before edge of its own
-// goroutine start). A nil reg (telemetry.Disabled) leaves the monitor
-// uninstrumented. Worker counters surface at each publication boundary;
-// call Worker.Sync (or let the cadence fire) to refresh them.
-func (s *Sharded) Instrument(reg *telemetry.Registry) {
+// goroutine start). A nil reg leaves the monitor uninstrumented. Worker
+// counters surface at each publication boundary; call Worker.Sync (or let
+// the cadence fire) to refresh them.
+func (s *Sharded) Instrument(reg *Registry) {
 	if reg == nil {
 		return
 	}

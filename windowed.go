@@ -329,7 +329,7 @@ func (w *Windowed) collectRing(limit int) {
 // Instrument registers the window-rotation telemetry (flush count, flush and
 // merge latency, standing-query stats) with reg. Call it before feeding
 // traffic; a nil reg is a no-op.
-func (w *Windowed) Instrument(reg *telemetry.Registry) {
+func (w *Windowed) Instrument(reg *Registry) {
 	if reg == nil {
 		return
 	}
