@@ -9,6 +9,7 @@ package rhhh_test
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"runtime"
 	"sort"
@@ -541,6 +542,54 @@ func (f *freshQuery) feed(n int) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkWindowedHeavyHitters times a sliding Windowed's on-demand query:
+// 2D-Bytes, ε = δ = 0.01, k = 4 sub-windows of ⌈ψ/k⌉ chicago16 packets,
+// warmed until the ring is full. Before every query 16,384 more packets are
+// fed and every flushed window delivered, outside the timer, so each query
+// reads a changed open sub-window. At the covered window (≈ ψ) θ = 0.05 is
+// past N* and θ = 0.02 below it, where every monitored key qualifies.
+func BenchmarkWindowedHeavyHitters(b *testing.B) {
+	for _, theta := range []float64{0.05, 0.02} {
+		b.Run(fmt.Sprintf("theta=%g", theta), func(b *testing.B) {
+			const k, ring = 4, 1 << 16
+			cfg := rhhh.Config{Dims: 2, Epsilon: 0.01, Delta: 0.01, Seed: 1}
+			size := uint64(math.Ceil(rhhh.MustNew(cfg).Psi() / k))
+			w, err := rhhh.NewSlidingWindowed(cfg, size, k, theta, func(rhhh.WindowResult) {})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			gen := trace.NewSynthetic(trace.Profile("chicago16"))
+			srcs, dsts := make([]netip.Addr, ring), make([]netip.Addr, ring)
+			for i := range srcs {
+				p, _ := gen.Next()
+				srcs[i], dsts[i] = v4addr(p.SrcIP.IPv4()), v4addr(p.DstIP.IPv4())
+			}
+			pos := 0
+			feed := func(n int) {
+				for n > 0 {
+					m := min(n, ring-pos, 4096)
+					w.UpdateBatch(srcs[pos:pos+m], dsts[pos:pos+m])
+					pos = (pos + m) % ring
+					n -= m
+				}
+				w.Sync()
+			}
+			feed(k * int(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				feed(16384)
+				b.StartTimer()
+				if len(w.HeavyHitters(theta)) == 0 {
+					b.Fatal("no heavy hitters")
+				}
+			}
+		})
+	}
 }
 
 // filledSharded builds the 4-shard acceptance workload (2D-Bytes, ε=0.01,

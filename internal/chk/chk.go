@@ -96,7 +96,7 @@ type Sketch[K comparable] struct {
 	used     int
 	n        uint64
 	seed     uint64
-	hash     func(K) uint32
+	hash     func(seed uint64, k K) uint32
 	rng      fastrand.Source
 	stash    []stashEntry[K]
 	perm     []int32 // capture scratch: monitored ids in ForEach order
@@ -110,26 +110,29 @@ type Sketch[K comparable] struct {
 	takeovers uint64 // slots decayed to zero and taken over
 }
 
-// seededHashFor builds the key-hash function for seed: integer carriers get
-// a seeded splitmix64 finalizer (deterministic across runs), anything else
-// falls back to hash/maphash with its process-random seed.
-func seededHashFor[K comparable](seed uint64) func(k K) uint32 {
-	mix := func(z uint64) uint32 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return uint32(z ^ (z >> 31))
-	}
+// seededHashFor returns the key-hash function, called with the sketch's
+// seed: integer carriers get a seeded splitmix64 finalizer (deterministic
+// across runs), anything else falls back to hash/maphash with its
+// process-random seed, which ignores the sketch's.
+func seededHashFor[K comparable]() func(seed uint64, k K) uint32 {
 	var fn any
 	switch any(*new(K)).(type) {
 	case uint32:
-		fn = func(k uint32) uint32 { return mix(seed ^ uint64(k)) }
+		fn = func(seed uint64, k uint32) uint32 { return mix32(seed ^ uint64(k)) }
 	case uint64:
-		fn = func(k uint64) uint32 { return mix(seed ^ k) }
+		fn = func(seed uint64, k uint64) uint32 { return mix32(seed ^ k) }
 	default:
 		ms := maphash.MakeSeed()
-		return func(k K) uint32 { return uint32(maphash.Comparable(ms, k)) }
+		return func(_ uint64, k K) uint32 { return uint32(maphash.Comparable(ms, k)) }
 	}
-	return fn.(func(k K) uint32)
+	return fn.(func(seed uint64, k K) uint32)
+}
+
+// mix32 is splitmix64's finalizer, truncated to 32 bits.
+func mix32(z uint64) uint32 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return uint32(z ^ (z >> 31))
 }
 
 // fpOf derives a non-zero fingerprint byte from a key hash (spacesaving's
@@ -158,7 +161,7 @@ func New[K comparable](capacity int, seed uint64) *Sketch[K] {
 		keys:    make([]K, slots),
 		bktMask: nBkt - 1,
 		seed:    seed,
-		hash:    seededHashFor[K](seed),
+		hash:    seededHashFor[K](),
 	}
 	s.rng.Seed(seed ^ 0xc8c3_9f4b_9b1d_5b2d)
 	return s
@@ -219,7 +222,7 @@ func (s *Sketch[K]) IncrementBy(k K, w uint64) {
 	if w == 0 {
 		return
 	}
-	h := s.hash(k)
+	h := s.hash(s.seed, k)
 	b1 := h & s.bktMask
 	b2 := altBucket(b1, fpOf(h), s.bktMask)
 	i1 := int(b1) * slotsPerBucket
@@ -327,7 +330,7 @@ func (s *Sketch[K]) decay(i1, i2 int, k K, h uint32, w uint64) {
 // twice for monitored keys — CHK keeps one point estimate, a probabilistic
 // under-estimate — and (MinCount, 0) for unmonitored ones.
 func (s *Sketch[K]) Bounds(k K) (upper, lower uint64) {
-	h := s.hash(k)
+	h := s.hash(s.seed, k)
 	b1 := h & s.bktMask
 	b2 := altBucket(b1, fpOf(h), s.bktMask)
 	for _, b := range [2]uint32{b1, b2} {
@@ -433,8 +436,11 @@ func (s *Sketch[K]) Reset() {
 	s.displace = false
 }
 
-// Reseed restarts the decay RNG from seed, so Reset followed by Reseed
-// reproduces a freshly constructed sketch bit for bit (integer key types).
+// Reseed restarts the decay RNG and the key hash from seed, so Reset
+// followed by Reseed reproduces a sketch freshly constructed with seed bit
+// for bit (integer key types). Call it only on an empty sketch: monitored
+// keys sit where the old hash placed them.
 func (s *Sketch[K]) Reseed(seed uint64) {
+	s.seed = seed
 	s.rng.Seed(seed ^ 0xc8c3_9f4b_9b1d_5b2d)
 }

@@ -212,7 +212,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestResetReseedReproduces: Reset + Reseed replays a fresh sketch bit for
-// bit, mirroring the engine's Reset/Reseed contract.
+// bit, mirroring the engine's Reset/Reseed contract — with the construction
+// seed, and with another seed, which the key hash must follow too.
 func TestResetReseedReproduces(t *testing.T) {
 	const seed = 77
 	feed := func(s *Sketch[uint64]) {
@@ -230,6 +231,14 @@ func TestResetReseedReproduces(t *testing.T) {
 	second := s.Snapshot().AppendBinary(nil, putU64)
 	if string(first) != string(second) {
 		t.Fatal("Reset+Reseed did not reproduce the first run")
+	}
+	s.Reset()
+	s.Reseed(seed + 1)
+	feed(s)
+	fresh := New[uint64](32, seed+1)
+	feed(fresh)
+	if string(s.Snapshot().AppendBinary(nil, putU64)) != string(fresh.Snapshot().AppendBinary(nil, putU64)) {
+		t.Fatal("Reset+Reseed to another seed did not reproduce a sketch built with it")
 	}
 }
 

@@ -80,7 +80,7 @@ func (s *Sketch[K]) LoadSnapshot(sn *spacesaving.Snapshot[K]) error {
 // failure. Used only by LoadSnapshot: keys are distinct (snapshot decode
 // validates) so no hit check is needed.
 func (s *Sketch[K]) insertPlaced(k K, count uint64) {
-	h := s.hash(k)
+	h := s.hash(s.seed, k)
 	b := h & s.bktMask
 	for kick := 0; kick < maxKicks; kick++ {
 		i0 := int(b) * slotsPerBucket

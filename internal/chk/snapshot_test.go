@@ -175,7 +175,7 @@ func TestLoadSnapshotStash(t *testing.T) {
 	groups := make(map[pair][]uint64)
 	var colliding []uint64
 	for k := uint64(0); k < 1_000_000; k++ {
-		h := s.hash(k)
+		h := s.hash(s.seed, k)
 		b1 := h & s.bktMask
 		b2 := altBucket(b1, fpOf(h), s.bktMask)
 		if b2 < b1 {

@@ -594,7 +594,8 @@ func (e *Engine[K]) EstimateFrequency(key K, node int) (lower, upper float64) {
 // gap. After Reset followed by Reseed(s), the engine's outputs are
 // bit-identical to a freshly constructed engine with Seed s — the epoch
 // deployments (Windowed) use this to keep windows statistically independent
-// and reproducible without reallocating the engine.
+// and reproducible without reallocating the engine. A CHK node's key hash
+// follows the seed too, so call Reseed only right after Reset.
 func (e *Engine[K]) Reseed(seed uint64) {
 	e.rng.Seed(seed)
 	// CHK sketches hold per-node decay RNGs; restart them from the same

@@ -8,7 +8,9 @@ import (
 	"rhhh/internal/hierarchy"
 )
 
-func TestMergeOutputFindsUnionHeavyHitters(t *testing.T) {
+// TestExtractSnapshotsFindsUnionHeavyHitters: the union read over four
+// engines fed round-robin finds heavy hitters planted in the union stream.
+func TestExtractSnapshotsFindsUnionHeavyHitters(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	cfg := core.Config{Epsilon: 0.02, Delta: 0.05}
 	const shards = 4
@@ -24,7 +26,11 @@ func TestMergeOutputFindsUnionHeavyHitters(t *testing.T) {
 	for i := 0; i < n; i++ {
 		engines[i%shards].Update(gen2D(r))
 	}
-	out := core.MergeOutput(0.1, engines...)
+	snaps := make([]*core.EngineSnapshot[uint64], shards)
+	for i, e := range engines {
+		snaps[i] = e.Snapshot()
+	}
+	out := core.NewExtractor(dom).ExtractSnapshots(snaps, 0.1)
 	find := func(srcBits, dstBits int, key uint64) bool {
 		node, _ := dom.NodeByBits(srcBits, dstBits)
 		for _, p := range out {
@@ -51,48 +57,5 @@ func TestMergeOutputFindsUnionHeavyHitters(t *testing.T) {
 				t.Errorf("merged estimate %v for a 30%% flow of %d", p.Upper, n)
 			}
 		}
-	}
-}
-
-func TestMergeOutputSingleEngineEqualsOutput(t *testing.T) {
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	eng := core.New(dom, core.Config{Epsilon: 0.02, Delta: 0.05, Seed: 2})
-	r := fastrand.New(3)
-	for i := 0; i < 100000; i++ {
-		eng.Update(uint32(r.Uint64n(1 << 12)))
-	}
-	a := eng.Output(0.1)
-	b := core.MergeOutput(0.1, eng)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-}
-
-func TestMergeOutputValidation(t *testing.T) {
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	e1 := core.New(dom, core.Config{Epsilon: 0.1, Delta: 0.1})
-	e2 := core.New(dom, core.Config{Epsilon: 0.1, Delta: 0.1, V: 50})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched V accepted")
-		}
-	}()
-	core.MergeOutput(0.5, e1, e2)
-}
-
-func TestMergeOutputEmpty(t *testing.T) {
-	if out := core.MergeOutput[uint32](0.5); out != nil {
-		t.Fatal("no engines should give nil")
-	}
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	e1 := core.New(dom, core.Config{Epsilon: 0.1, Delta: 0.1, Seed: 1})
-	e2 := core.New(dom, core.Config{Epsilon: 0.1, Delta: 0.1, Seed: 2})
-	if out := core.MergeOutput(0.5, e1, e2); out != nil {
-		t.Fatal("empty engines should give nil")
 	}
 }

@@ -120,10 +120,10 @@ func TestReseedReproducesFreshEngine(t *testing.T) {
 	}
 }
 
-// TestSnapshotMergerMatchesMergeOutput: merging snapshots then querying
-// equals MergeOutput over the live engines (which itself runs the snapshot
-// path; this pins the reusable-buffer variant to the one-shot variant).
-func TestSnapshotMergerMatchesMergeOutput(t *testing.T) {
+// TestSnapshotMergerMatchesExtractSnapshots: merging snapshots through a
+// reused merger then querying equals the union read over one-shot snapshots
+// of the live engines.
+func TestSnapshotMergerMatchesExtractSnapshots(t *testing.T) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
 	engines := make([]*core.Engine[uint64], 3)
 	for i := range engines {
@@ -133,7 +133,11 @@ func TestSnapshotMergerMatchesMergeOutput(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		engines[i%3].Update(gen2D(r))
 	}
-	want := core.MergeOutput(0.05, engines...)
+	fresh := make([]*core.EngineSnapshot[uint64], len(engines))
+	for i, e := range engines {
+		fresh[i] = e.Snapshot()
+	}
+	want := core.NewExtractor(dom).ExtractSnapshots(fresh, 0.05)
 
 	var sm core.SnapshotMerger[uint64]
 	var merged core.EngineSnapshot[uint64]

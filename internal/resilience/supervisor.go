@@ -64,7 +64,8 @@ type Policy struct {
 }
 
 // Default is the process-wide fallback policy used by library code that
-// was not handed an explicit one (Windowed merges, vswitch transports).
+// was not handed an explicit one (sliding Windowed deliveries, vswitch
+// transports).
 var Default = &Policy{}
 
 const (

@@ -111,8 +111,10 @@ func (s *WatchStats) Register(r *Registry, labels string) {
 }
 
 // WindowStats is the sliding/tumbling-window block. Flush latency is the
-// producer-visible cost of rotating a sub-window; merge latency is the
-// (background, for sliding windows) merge + extraction time.
+// producer-visible cost of rotating a sub-window; merge latency keeps its
+// name but times each window's delivery: the union read of the covered
+// sub-window snapshots plus the watch tick (on the background goroutine
+// when sliding, inline when tumbling).
 type WindowStats struct {
 	Flushes      Cell
 	FlushLatency Histogram
@@ -123,5 +125,5 @@ type WindowStats struct {
 func (s *WindowStats) Register(r *Registry, labels string) {
 	r.Counter("rhhh_window_flushes_total", labels, "Sub-window flush rotations.", &s.Flushes)
 	r.Histogram("rhhh_window_flush_seconds", labels, "Producer-visible sub-window flush time.", &s.FlushLatency)
-	r.Histogram("rhhh_window_merge_seconds", labels, "Window merge and extraction time.", &s.MergeLatency)
+	r.Histogram("rhhh_window_merge_seconds", labels, "Window delivery time: union read of the covered sub-windows and watch tick.", &s.MergeLatency)
 }

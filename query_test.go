@@ -122,3 +122,52 @@ func TestShardedQueryRepeatStable(t *testing.T) {
 	// Back to the original θ after the buffer was reused for another query.
 	snapEqualHH(t, "θ round-trip", first, s.HeavyHitters(0.1))
 }
+
+// TestWindowedWarmQueryZeroAlloc: a sliding Windowed's on-demand query —
+// k−1 ring slots plus a fresh capture of the open sub-window, read as one
+// union — allocates nothing once warm, with packets fed between queries
+// and no window boundary crossed.
+func TestWindowedWarmQueryZeroAlloc(t *testing.T) {
+	const k, theta = 4, 0.05
+	cfg := rhhh.Config{Dims: 2, Epsilon: 0.01, Delta: 0.01, Seed: 4}
+	size := uint64(rhhh.MustNew(cfg).Psi())/k + 1
+	w, err := rhhh.NewSlidingWindowed(cfg, size, k, theta, func(rhhh.WindowResult) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rng := uint64(0x9876)
+	next := func() uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng >> 33
+	}
+	feed := func(n int) {
+		for range n {
+			if next()%2 == 0 {
+				w.Update(addr4(10, 1, 1, byte(next()%4)), addr4(20, 2, 2, 2))
+			} else {
+				w.Update(addr4(30, byte(next()%4), byte(next()%8), 1), addr4(byte(next()%8), 0, 0, 2))
+			}
+		}
+	}
+	feed(int(k*size) + int(size/4)) // the ring is full and the open sub-window a quarter in
+	w.Sync()
+	busy := func() {
+		feed(64)
+		if len(w.HeavyHitters(theta)) == 0 {
+			t.Fatal("no heavy hitters")
+		}
+	}
+	for range 16 {
+		busy()
+	}
+	completed := w.Completed()
+	feedOnly := testing.AllocsPerRun(100, func() { feed(64) })
+	if allocs := testing.AllocsPerRun(100, busy); allocs != feedOnly {
+		t.Fatalf("warm sliding query allocates %v times per run beyond the %v feed allocs, want 0",
+			allocs-feedOnly, feedOnly)
+	}
+	if w.Completed() != completed {
+		t.Fatal("a window boundary was crossed between queries")
+	}
+}

@@ -182,6 +182,7 @@ type monImpl interface {
 	watch(opts WatchOptions) (*Subscription, error)
 	tickWatch()
 	instrument(reg *telemetry.Registry)
+	windowRing(k int) windowRing
 }
 
 // engine is the part of *core.Engine[K] that does not depend on K.

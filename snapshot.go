@@ -46,10 +46,9 @@ type snapCore interface {
 	packets() uint64
 	appendBinary(buf []byte) ([]byte, error)
 	suggestTheta(k int) float64
-	// mergeFrom merges snaps (whose impls must share the receiver's carrier
-	// type) into dst — reused when it has the right type, freshly allocated
-	// otherwise — and returns it. dst must not be one of snaps' impls.
-	mergeFrom(dst snapCore, snaps []*Snapshot) (snapCore, error)
+	// mergeFrom merges snaps, whose impls must share the receiver's carrier
+	// type, into a new state.
+	mergeFrom(snaps []*Snapshot) (snapCore, error)
 }
 
 // snapState implements snapCore over carrier type K.
@@ -65,11 +64,6 @@ type snapState[K comparable] struct {
 	ex    *core.Extractor[K]
 	exDom *hierarchy.Domain[K]
 	conv  converter[K]
-
-	// Merge scratch, retained so repeated merges into the same destination
-	// (the windowed ring) allocate nothing in steady state.
-	sm       core.SnapshotMerger[K]
-	mergeBuf []*core.EngineSnapshot[K]
 }
 
 func (st *snapState[K]) heavyHitters(theta float64) []HeavyHitter {
@@ -91,12 +85,8 @@ func (st *snapState[K]) suggestTheta(k int) float64 {
 	return st.es.SuggestTheta(st.dom, k)
 }
 
-func (st *snapState[K]) mergeFrom(dst snapCore, snaps []*Snapshot) (snapCore, error) {
-	ds, ok := dst.(*snapState[K])
-	if !ok || ds == nil {
-		ds = &snapState[K]{dom: st.dom, split: st.split}
-	}
-	ds.mergeBuf = ds.mergeBuf[:0]
+func (st *snapState[K]) mergeFrom(snaps []*Snapshot) (snapCore, error) {
+	ess := make([]*core.EngineSnapshot[K], 0, len(snaps))
 	for _, s := range snaps {
 		o, ok := s.impl.(*snapState[K])
 		if !ok {
@@ -109,9 +99,11 @@ func (st *snapState[K]) mergeFrom(dst snapCore, snaps []*Snapshot) (snapCore, er
 		if len(o.es.Nodes) != len(st.es.Nodes) {
 			return nil, errors.New("rhhh: cannot merge snapshots of different lattice sizes")
 		}
-		ds.mergeBuf = append(ds.mergeBuf, &o.es)
+		ess = append(ess, &o.es)
 	}
-	ds.sm.Merge(&ds.es, ds.mergeBuf...)
+	ds := &snapState[K]{dom: st.dom, split: st.split}
+	var sm core.SnapshotMerger[K]
+	sm.Merge(&ds.es, ess...)
 	return ds, nil
 }
 
@@ -171,43 +163,25 @@ func (s *Snapshot) SuggestTheta(k int) float64 {
 // Merge returns a new snapshot over the union of the sub-streams behind s
 // and others — the mergeable-summaries read path: shard locally, merge at
 // query time. All snapshots must come from identically configured monitors
-// (same hierarchy, V and R); none are modified.
+// (same hierarchy, V and R); none are modified. The order of s and others
+// fixes the merge's deterministic tie-breaking.
 func (s *Snapshot) Merge(others ...*Snapshot) (*Snapshot, error) {
 	if s.impl == nil {
 		return nil, errors.New("rhhh: cannot merge an empty snapshot")
 	}
-	all := make([]*Snapshot, 0, 1+len(others))
-	all = append(all, s)
-	all = append(all, others...)
-	return mergeSnapshots(nil, all)
-}
-
-// mergeSnapshots merges snaps (in order — the order fixes deterministic
-// tie-breaking) into dst, reusing dst's buffers; nil dst allocates. dst
-// must not be one of snaps.
-func mergeSnapshots(dst *Snapshot, snaps []*Snapshot) (*Snapshot, error) {
-	first := snaps[0]
-	if first.impl == nil {
-		return nil, errors.New("rhhh: cannot merge an empty snapshot")
-	}
-	for _, s := range snaps[1:] {
-		if s.impl == nil {
+	for _, o := range others {
+		if o.impl == nil {
 			return nil, errors.New("rhhh: cannot merge an empty snapshot")
 		}
-		if s.dims != first.dims || s.gran != first.gran || s.ipv6 != first.ipv6 {
+		if o.dims != s.dims || o.gran != s.gran || o.ipv6 != s.ipv6 {
 			return nil, errors.New("rhhh: cannot merge snapshots of different hierarchies")
 		}
 	}
-	if dst == nil {
-		dst = &Snapshot{}
-	}
-	impl, err := first.impl.mergeFrom(dst.impl, snaps)
+	impl, err := s.impl.mergeFrom(append([]*Snapshot{s}, others...))
 	if err != nil {
 		return nil, err
 	}
-	dst.impl = impl
-	dst.dims, dst.gran, dst.ipv6 = first.dims, first.gran, first.ipv6
-	return dst, nil
+	return &Snapshot{impl: impl, dims: s.dims, gran: s.gran, ipv6: s.ipv6}, nil
 }
 
 // Snapshot wire format, version 1: a 4-byte header ("RHS" + version), the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rhhh/internal/core"
-	"rhhh/internal/hierarchy"
 	"rhhh/internal/resilience"
 	"rhhh/internal/telemetry"
 )
@@ -24,65 +23,69 @@ import (
 //   - Sliding (NewSlidingWindowed): the stream is cut into sub-windows of
 //     `windowSize` packets whose snapshots are kept in a ring; when a
 //     sub-window closes, the callback receives the HHH set of the union of
-//     the last k sub-windows (merged with N-weighted bounds, see Snapshot),
-//     so each delivered result covers a window of k·windowSize packets that
-//     slides forward by windowSize at a time. The ring merge, extraction and
-//     callback run on a background goroutine so the producer only pays for
+//     the last k sub-windows (N = ΣNᵢ, see Snapshot), so each delivered
+//     result covers a window of k·windowSize packets that slides forward by
+//     windowSize at a time. The ring's read, the watch tick and the
+//     callback run on a background goroutine, so the producer only pays for
 //     the sub-window snapshot copy at a boundary — the flush blocks solely
-//     when the previous merge is still running. Callbacks stay ordered and
-//     bit-identical to the synchronous path; call Sync (or Flush/Close) to
-//     wait for outstanding deliveries.
+//     when the previous delivery is still running. Callbacks stay in window
+//     order; call Sync (or Flush/Close) to wait for outstanding deliveries.
+//
+// Every read — a delivered result, a watch tick, an on-demand sliding
+// HeavyHitters — extracts from the ring's sub-window snapshots as one
+// union, the read Sharded makes over its workers' publications: answers are
+// bit-identical to extracting from the snapshots' Merge, which is never
+// built.
 //
 // The monitor is reused across windows — Reset plus a per-window reseed —
 // so window turnover allocates nothing and stays reproducible: window i
 // behaves bit-identically to a freshly built monitor seeded with
 // Seed + i·φ64. Windows remain statistically independent.
 //
-// Choose the covered window (windowSize, or k·windowSize when sliding)
-// ≥ Psi(ε, δ, V) so every delivered result carries the paper's guarantees;
-// the constructors reject configurations below ψ.
+// The constructors reject a covered window (windowSize, or k·windowSize
+// when sliding) below Psi(ε, δ, V). A result carries the paper's guarantees
+// only when the stream weight it covers reaches ψ, which WindowResult.
+// Converged reports: a sliding window's first results cover fewer than k
+// sub-windows, and a partial window delivered by Flush may fall short.
 type Windowed struct {
 	cfg     Config
 	size    uint64
 	k       int
 	theta   float64
+	psi     float64
 	onFlush func(WindowResult)
 	current *Monitor
 	index   uint64
 
-	// Sliding-mode state: ring of the last k sub-window snapshots and the
-	// reused merge destination. All nil in tumbling mode.
-	ring      []*Snapshot
-	order     []*Snapshot // scratch: ring reordered oldest → newest
-	merged    *Snapshot
-	querySnap *Snapshot // scratch for on-demand HeavyHitters
-	qMerged   *Snapshot // on-demand merge destination, separate from the
-	// flush path's so the background merger's caches stay warm
+	// ring holds the snapshots of the last k completed sub-windows (k = 1
+	// when tumbling) and the extractors that read them.
+	ring windowRing
 
-	// Background ring merge (sliding mode): each completed sub-window's
-	// merge + extraction + delivery runs on its own goroutine so the flush
-	// path — and with it the producer — only pays for the snapshot copy.
-	// The flush blocks only when the previous merge is still running
+	// Background delivery (sliding mode): each completed sub-window's read,
+	// watch tick and callback run on their own goroutine so the flush path
+	// — and with it the producer — only pays for the snapshot copy. The
+	// flush blocks only when the previous delivery is still running
 	// (mergePending), because the new capture overwrites a ring slot the
-	// in-flight merge reads. mergeDone carries one token per finished job.
+	// in-flight read may cover. mergeDone carries one token per finished
+	// job.
 	mergePending bool
 	mergeDone    chan struct{}
 
 	// Standing-query hub, created by the first Watch and ticked on each
-	// completed (sub-)window (from the merge goroutine when sliding).
+	// completed (sub-)window (from the delivery goroutine when sliding).
 	hub         watchCtl
 	watchClosed bool
 
-	// resPolicy supervises the background merge goroutine (nil =
-	// resilience.Default): a panic in the merge — or in a subscriber
-	// callback it runs — is captured and the window's result dropped,
-	// instead of killing the process and deadlocking the producer on the
-	// mergeDone handshake.
+	// resPolicy supervises the background delivery goroutine (nil =
+	// resilience.Default): a panic in the read — or in a callback it runs —
+	// is captured and the window's result dropped, instead of killing the
+	// process and deadlocking the producer on the mergeDone handshake.
 	resPolicy *resilience.Policy
 
 	// Telemetry, installed by Instrument. Flushes and FlushLatency are owned
-	// by the producer; MergeLatency by the merge goroutine, serialized between
-	// jobs through the mergeDone handshake. watchTM instruments the hub.
+	// by the producer; MergeLatency by whichever goroutine delivers, which
+	// the mergeDone handshake serializes between jobs. watchTM instruments
+	// the hub.
 	wtm     *telemetry.WindowStats
 	watchTM *telemetry.WatchStats
 }
@@ -92,12 +95,14 @@ type WindowResult struct {
 	// Index counts completed (sub-)windows, starting at 0.
 	Index uint64
 	// N is the stream weight the result covers: the window's packet count
-	// when tumbling, the merged weight of the covered sub-windows when
-	// sliding.
+	// when tumbling, the covered sub-windows' total weight when sliding.
 	N uint64
 	// SubWindows is the number of sub-windows the result covers: always 1
 	// when tumbling, min(Index+1, k) when sliding.
 	SubWindows int
+	// Converged reports whether N reached ψ, the rule of Monitor.Converged:
+	// only then do the paper's guarantees hold for HeavyHitters.
+	Converged bool
 	// HeavyHitters is the window's HHH set at the configured θ. The slice is
 	// owned by the result (copied out of the reusable query buffers), so
 	// callbacks may retain it across windows.
@@ -114,7 +119,7 @@ func NewWindowed(cfg Config, windowSize uint64, theta float64, onFlush func(Wind
 // windowSize packets, each delivered result covering the last k of them.
 // k = 1 degenerates to tumbling.
 //
-// Sliding-mode results are merged and delivered on a background goroutine
+// Sliding-mode results are read and delivered on a background goroutine
 // (see Windowed); onFlush must not call back into the Windowed.
 func NewSlidingWindowed(cfg Config, windowSize uint64, k int, theta float64, onFlush func(WindowResult)) (*Windowed, error) {
 	if k < 1 {
@@ -137,7 +142,8 @@ func newWindowed(cfg Config, windowSize uint64, k int, theta float64, onFlush fu
 	if err != nil {
 		return nil, err
 	}
-	if psi := m.Psi(); float64(windowSize)*float64(k) < psi {
+	psi := m.Psi()
+	if float64(windowSize)*float64(k) < psi {
 		return nil, fmt.Errorf(
 			"rhhh: covered window of %d packets is below ψ=%.0f; enlarge the window, the ε, or use R (Corollary 6.8)",
 			windowSize*uint64(k), psi)
@@ -147,20 +153,20 @@ func newWindowed(cfg Config, windowSize uint64, k int, theta float64, onFlush fu
 		size:    windowSize,
 		k:       k,
 		theta:   theta,
+		psi:     psi,
 		onFlush: onFlush,
 		current: m,
+		ring:    m.impl.windowRing(k),
 	}
 	if k > 1 {
-		w.ring = make([]*Snapshot, k)
-		w.order = make([]*Snapshot, 0, k)
 		w.mergeDone = make(chan struct{}, 1)
 	}
 	return w, nil
 }
 
-// sync blocks until the outstanding background merge (if any) has delivered
-// its window result. Callers touching the ring, the merge scratch or the
-// watch hub must sync first.
+// sync blocks until the outstanding background delivery (if any) has
+// finished. Callers overwriting a ring slot or touching the watch hub must
+// sync first.
 func (w *Windowed) sync() {
 	if w.mergePending {
 		<-w.mergeDone
@@ -169,7 +175,7 @@ func (w *Windowed) sync() {
 }
 
 // Sync blocks until every completed window's result has been delivered to
-// the callback. Sliding-mode results are merged and delivered by a
+// the callback. Sliding-mode results are read and delivered by a
 // background goroutine (see NewSlidingWindowed); Sync is the barrier a
 // caller needs before inspecting state the callback populates. Tumbling
 // windows deliver synchronously, making Sync a no-op.
@@ -282,7 +288,8 @@ func (w *Windowed) Flush() {
 // union of the last min(Completed, k−1) completed sub-windows and the
 // in-progress one (tumbling mode: just the in-progress window). The
 // in-progress window's packets are included, so the covered span is up to
-// (k−1)·windowSize plus the current fill.
+// (k−1)·windowSize plus the current fill. A sliding query reads the ring on
+// its own extractor and does not wait for a background delivery.
 //
 // The returned slice is a reusable query buffer: treat it as read-only,
 // valid until the next query on this Windowed — copy it to retain results
@@ -294,16 +301,7 @@ func (w *Windowed) HeavyHitters(theta float64) []HeavyHitter {
 	if w.k == 1 {
 		return w.current.HeavyHitters(theta)
 	}
-	w.sync()
-	w.querySnap = w.current.SnapshotInto(w.querySnap)
-	w.collectRing(w.k - 1)
-	w.order = append(w.order, w.querySnap)
-	merged, err := mergeSnapshots(w.qMerged, w.order)
-	if err != nil {
-		panic("rhhh: windowed merge failed: " + err.Error())
-	}
-	w.qMerged = merged
-	return merged.HeavyHitters(theta)
+	return w.ring.query(w.index, theta)
 }
 
 // WindowSize returns the configured (sub-)window length in packets.
@@ -315,16 +313,6 @@ func (w *Windowed) SubWindows() int { return w.k }
 
 // Completed returns the number of windows delivered so far.
 func (w *Windowed) Completed() uint64 { return w.index }
-
-// collectRing fills w.order with up to limit of the most recent completed
-// sub-window snapshots, oldest first (the deterministic merge order).
-func (w *Windowed) collectRing(limit int) {
-	w.order = w.order[:0]
-	count := int(min(w.index, uint64(limit)))
-	for j := count - 1; j >= 0; j-- {
-		w.order = append(w.order, w.ring[(w.index-1-uint64(j))%uint64(w.k)])
-	}
-}
 
 // Instrument registers the window-rotation telemetry (flush count, flush and
 // merge latency, standing-query stats) with reg. Call it before feeding
@@ -344,7 +332,7 @@ func (w *Windowed) Instrument(reg *Registry) {
 }
 
 // SetResiliencePolicy installs the supervision policy for the background
-// merge goroutine. Call before feeding traffic; nil means
+// delivery goroutine. Call before feeding traffic; nil means
 // resilience.Default.
 func (w *Windowed) SetResiliencePolicy(p *resilience.Policy) {
 	w.sync()
@@ -364,11 +352,7 @@ func (w *Windowed) Watch(opts WatchOptions) (*Subscription, error) {
 	}
 	w.sync()
 	if w.hub == nil {
-		hub, err := newWindowedHub(w)
-		if err != nil {
-			return nil, err
-		}
-		w.hub = hub
+		w.hub = w.ring.newHub()
 		if w.watchTM != nil {
 			w.hub.instrument(w.watchTM)
 		}
@@ -379,7 +363,7 @@ func (w *Windowed) Watch(opts WatchOptions) (*Subscription, error) {
 // Close ends every watch subscription (closing their Events channels);
 // further Watch calls fail. The window state itself is unaffected — Flush
 // remains available for shutdown delivery. Close waits for an in-flight
-// background merge, so every completed window has been delivered when it
+// background delivery, so every completed window has been delivered when it
 // returns. Idempotent.
 func (w *Windowed) Close() error {
 	w.sync()
@@ -390,39 +374,12 @@ func (w *Windowed) Close() error {
 	return nil
 }
 
-// newWindowedHub dispatches hub construction over the four carrier types.
-func newWindowedHub(w *Windowed) (watchCtl, error) {
-	switch im := w.current.impl.(type) {
-	case *impl[uint32]:
-		return windowedHub(w, im), nil
-	case *impl[uint64]:
-		return windowedHub(w, im), nil
-	case *impl[hierarchy.Addr]:
-		return windowedHub(w, im), nil
-	case *impl[hierarchy.AddrPair]:
-		return windowedHub(w, im), nil
-	default:
-		return nil, fmt.Errorf("rhhh: unknown windowed implementation %T", w.current.impl)
-	}
-}
-
-// windowedHub builds the typed hub: capture reads the covered window's state
-// at flush time — the ring-merged snapshot when sliding, a reused snapshot
-// of the closing monitor when tumbling.
-func windowedHub[K comparable](w *Windowed, im *impl[K]) watchCtl {
-	var buf core.EngineSnapshot[K]
-	var one [1]*core.EngineSnapshot[K]
-	capture := func() []*core.EngineSnapshot[K] {
-		if w.k > 1 {
-			one[0] = &w.merged.impl.(*snapState[K]).es
-		} else {
-			one[0] = im.eng.SnapshotInto(&buf)
-		}
-		return one[:]
-	}
-	return newWatchHub(im.dom, im.split, im.v6, capture, nil)
-}
-
+// flush closes the open (sub-)window: it captures the window's ring slot,
+// resets and reseeds the monitor for the next window, and delivers the
+// result — inline when tumbling, so the callback runs before the update
+// that closed the window returns, and on a supervised goroutine when
+// sliding. Sliding results are delivered in window order because each
+// flush waits for the previous delivery before it overwrites a slot.
 func (w *Windowed) flush() {
 	var t0 time.Time
 	if w.wtm != nil {
@@ -433,65 +390,41 @@ func (w *Windowed) flush() {
 			w.wtm.FlushLatency.Publish()
 		}()
 	}
-	res := WindowResult{Index: w.index, SubWindows: 1}
-	if w.k == 1 {
-		res.N = w.current.N()
-		res.HeavyHitters = slices.Clone(w.current.HeavyHitters(w.theta))
-		// Standing-query tick on the covered window's final state — before
-		// the monitor resets for the next window.
-		if w.hub != nil {
-			w.hub.tick()
-		}
-		w.index++
-		// Reset + window-dependent reseed: windows stay statistically
-		// independent and runs reproducible — window i is bit-identical to a
-		// fresh monitor seeded Seed + i·φ64 — without rebuilding the monitor.
-		w.current.Reset()
-		w.current.eng.Reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
-		w.onFlush(res)
-		return
-	}
-	// Sliding mode: the flush path pays only for the previous merge (if it
-	// has not finished), the sub-window snapshot copy and the reset; the
-	// ring merge, HHH extraction, watch tick and callback all run on the
-	// merge goroutine. Results are delivered in window order because jobs
-	// serialize on mergeDone.
 	w.sync()
-	slot := w.index % uint64(w.k)
-	w.ring[slot] = w.current.SnapshotInto(w.ring[slot])
-	w.collectRing(w.k - 1)
-	w.order = append(w.order, w.ring[slot])
-	res.SubWindows = len(w.order)
+	res := WindowResult{Index: w.index, SubWindows: w.ring.capture(w.index)}
 	w.index++
+	// Reset + window-dependent reseed: windows stay statistically
+	// independent and runs reproducible — window i is bit-identical to a
+	// fresh monitor seeded Seed + i·φ64 — without rebuilding the monitor.
 	w.current.Reset()
 	w.current.eng.Reseed(w.cfg.Seed + w.index*0x9e3779b97f4a7c15)
+	if w.k == 1 {
+		w.deliver(res)
+		return
+	}
 	w.mergePending = true
 	go func() {
 		// The handshake token is released in a defer so the producer's
-		// next sync() cannot deadlock even if the merge panics; Protect
-		// captures and records the panic (the window's result is lost,
-		// the stream continues).
+		// next sync() cannot deadlock even if the delivery panics; Protect
+		// captures and records the panic (the window's result is lost, the
+		// stream continues).
 		defer func() { w.mergeDone <- struct{}{} }()
-		w.resPolicy.Protect("rhhh/windowed-merge", func() { w.runMerge(res) })
+		w.resPolicy.Protect("rhhh/windowed-merge", func() { w.deliver(res) })
 	}()
 }
 
-// runMerge is the background half of a sliding flush: merge the covered
-// sub-windows, extract and deliver the window result, tick the standing
-// queries, then release the flush path. The goroutine exclusively owns
-// w.order, w.merged and the hub until it signals mergeDone.
-func (w *Windowed) runMerge(res WindowResult) {
+// deliver completes a flushed window: read the covered ring slots as one
+// union, tick the standing queries on the same slots, then hand the result
+// to the callback. A sliding delivery owns the ring's read state and the
+// hub until it signals mergeDone.
+func (w *Windowed) deliver(res WindowResult) {
 	var t0 time.Time
 	if w.wtm != nil {
 		t0 = time.Now()
 	}
-	merged, err := mergeSnapshots(w.merged, w.order)
-	if err != nil {
-		panic("rhhh: windowed merge failed: " + err.Error())
-	}
-	w.merged = merged
-	res.N = merged.N()
-	res.HeavyHitters = slices.Clone(merged.HeavyHitters(w.theta))
+	n, hh := w.ring.read(w.theta)
+	res.N, res.HeavyHitters = n, slices.Clone(hh)
+	res.Converged = float64(n) >= w.psi
 	if w.hub != nil {
 		w.hub.tick()
 	}
@@ -500,4 +433,85 @@ func (w *Windowed) runMerge(res WindowResult) {
 		w.wtm.MergeLatency.Publish()
 	}
 	w.onFlush(res)
+}
+
+// windowRing is the carrier-typed half of a Windowed, built by the
+// monitor's impl: a ring of k sub-window snapshots that every read takes as
+// one union through a retained core.Extractor.
+type windowRing interface {
+	// capture copies the open sub-window into window index's slot and
+	// makes the slots of the last min(index+1, k) windows, oldest first,
+	// the covered set that read and the hub's ticks use. It returns their
+	// count.
+	capture(index uint64) int
+	// read answers the covered set at theta and returns its stream weight.
+	read(theta float64) (uint64, []HeavyHitter)
+	// query answers the last min(index, k−1) completed slots plus a fresh
+	// capture of the open sub-window, on its own extractor and buffers, so
+	// it neither disturbs nor waits for a background read.
+	query(index uint64, theta float64) []HeavyHitter
+	// newHub builds the standing-query hub, whose ticks read the covered
+	// set.
+	newHub() watchCtl
+}
+
+// ringState implements windowRing over carrier type K.
+type ringState[K comparable] struct {
+	im    *impl[K]
+	slots []core.EngineSnapshot[K] // window i's snapshot is slots[i%k]
+
+	// Delivery side: the covered set and its reader.
+	cover []*core.EngineSnapshot[K]
+	ex    *core.Extractor[K]
+	conv  converter[K]
+
+	// On-demand side: the open sub-window's capture and its reader.
+	open   core.EngineSnapshot[K]
+	qcover []*core.EngineSnapshot[K]
+	qex    *core.Extractor[K]
+	qconv  converter[K]
+}
+
+func (im *impl[K]) windowRing(k int) windowRing {
+	return &ringState[K]{
+		im:    im,
+		slots: make([]core.EngineSnapshot[K], k),
+		ex:    core.NewExtractor(im.dom),
+		qex:   core.NewExtractor(im.dom),
+	}
+}
+
+// last sets dst to the slots of the min(n, limit) windows before window n,
+// oldest first — the order that fixes the union's tie-breaking.
+func (r *ringState[K]) last(dst []*core.EngineSnapshot[K], n uint64, limit int) []*core.EngineSnapshot[K] {
+	k := uint64(len(r.slots))
+	dst = dst[:0]
+	for i := n - min(n, uint64(limit)); i < n; i++ {
+		dst = append(dst, &r.slots[i%k])
+	}
+	return dst
+}
+
+func (r *ringState[K]) capture(index uint64) int {
+	r.im.eng.SnapshotInto(&r.slots[index%uint64(len(r.slots))])
+	r.cover = r.last(r.cover, index+1, len(r.slots))
+	return len(r.cover)
+}
+
+func (r *ringState[K]) read(theta float64) (uint64, []HeavyHitter) {
+	var n uint64
+	for _, s := range r.cover {
+		n += s.Weight
+	}
+	return n, r.conv.convert(r.im.dom, r.im.split, r.ex.ExtractSnapshots(r.cover, theta))
+}
+
+func (r *ringState[K]) query(index uint64, theta float64) []HeavyHitter {
+	r.qcover = append(r.last(r.qcover, index, len(r.slots)-1), r.im.eng.SnapshotInto(&r.open))
+	return r.qconv.convert(r.im.dom, r.im.split, r.qex.ExtractSnapshots(r.qcover, theta))
+}
+
+func (r *ringState[K]) newHub() watchCtl {
+	im := r.im
+	return newWatchHub(im.dom, im.split, im.v6, func() []*core.EngineSnapshot[K] { return r.cover }, nil)
 }

@@ -372,10 +372,11 @@ func TestSlidingWindowValidation(t *testing.T) {
 }
 
 // TestSlidingWindowBackgroundMergeProducer runs a producer through many
-// sub-window boundaries with the ring merge on the background goroutine,
+// sub-window boundaries with the ring read on the background goroutine,
 // interleaving on-demand queries and a watch subscription — the -race
-// exercise for the flush/merge overlap. Results must still arrive in order
-// and bit-identical to a synchronously merged reference.
+// exercise for the flush/delivery overlap. Results must still arrive in
+// order and bit-identical to standalone per-sub-window monitors merged with
+// Snapshot.Merge (windowRef).
 func TestSlidingWindowBackgroundMergeProducer(t *testing.T) {
 	const k = 3
 	cfg := rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05, V: 50, Seed: 61}
@@ -393,13 +394,7 @@ func TestSlidingWindowBackgroundMergeProducer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var want []rhhh.WindowResult
-	ref, err := rhhh.NewSlidingWindowed(cfg, window, k, 0.2, func(r rhhh.WindowResult) {
-		want = append(want, r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newWindowRef(cfg, window, k)
 
 	rng := rand.New(rand.NewSource(62))
 	const windows = 7
@@ -418,14 +413,19 @@ func TestSlidingWindowBackgroundMergeProducer(t *testing.T) {
 			}
 		}
 		w.UpdateBatch(batch[:n], nil)
-		ref.UpdateBatch(batch[:n], nil)
+		for _, a := range batch[:n] {
+			ref.update(a, netip.Addr{}, 1)
+		}
 		if rng.Intn(4) == 0 {
 			_ = w.HeavyHitters(0.2) // on-demand query racing the merger
 		}
 		fed += n
 	}
 	w.Sync()
-	ref.Sync()
+	var want []rhhh.WindowResult
+	for i := range ref.done {
+		want = append(want, ref.result(t, i, 0.2, rhhh.MustNew(cfg).Psi()))
+	}
 	if len(got) != windows || len(want) != windows {
 		t.Fatalf("%d async vs %d reference windows (want %d)", len(got), len(want), windows)
 	}
@@ -518,5 +518,66 @@ func TestWindowedValidation(t *testing.T) {
 	}
 	if _, err := rhhh.NewWindowed(rhhh.Config{}, 10, 0.5, ok); err == nil {
 		t.Error("invalid inner config accepted")
+	}
+}
+
+// TestWindowResultConverged: a result carries the guarantee only once the
+// weight it covers reaches ψ (Monitor.Converged's rule). With
+// size < ψ ≤ k·size, a sliding window's results before the ring covers ψ
+// report false and later ones true; a partial Flush below ψ reports false,
+// on both modes.
+func TestWindowResultConverged(t *testing.T) {
+	const k = 3
+	cfg := rhhh.Config{Dims: 1, Epsilon: 0.05, Delta: 0.05, Seed: 81}
+	psi := rhhh.MustNew(cfg).Psi()
+	size := uint64(psi)/k + 100
+	if float64(size) >= psi || float64(k*size) < psi || float64(2*size) >= psi {
+		t.Fatalf("size %d does not put ψ = %.0f between 2·size and k·size", size, psi)
+	}
+	var results []rhhh.WindowResult
+	w, err := rhhh.NewSlidingWindowed(cfg, size, k, 0.2, func(r rhhh.WindowResult) {
+		results = append(results, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rng := rand.New(rand.NewSource(82))
+	feed := func(n uint64) {
+		for range n {
+			w.Update(addr4(9, byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))), netip.Addr{})
+		}
+	}
+	feed(5 * size)
+	feed(10) // a partial sub-window after two full ones: 2·size + 10 < ψ
+	w.Flush()
+	want := []bool{false, false, true, true, true, false}
+	if len(results) != len(want) {
+		t.Fatalf("%d results, want %d", len(results), len(want))
+	}
+	for i, r := range results {
+		if r.Converged != want[i] || r.Converged != (float64(r.N) >= psi) {
+			t.Errorf("result %d covering N = %d (ψ = %.0f): Converged = %v", i, r.N, psi, r.Converged)
+		}
+	}
+	// The flushed partial result covers the last two full sub-windows plus
+	// the partial one, and falls short of ψ.
+	if last := results[len(results)-1]; last.SubWindows != k || last.N != 2*size+10 || last.Converged {
+		t.Errorf("partial sliding flush: %+v", last)
+	}
+	results = results[:0]
+
+	tw, err := rhhh.NewWindowed(cfg, uint64(psi)+1, 0.2, func(r rhhh.WindowResult) {
+		results = append(results, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range uint64(psi) + 11 {
+		tw.Update(addr4(9, 9, 9, byte(rng.Intn(256))), netip.Addr{})
+	}
+	tw.Flush()
+	if len(results) != 2 || !results[0].Converged || results[1].N != 10 || results[1].Converged {
+		t.Errorf("tumbling: full window then a 10-packet partial flush, got %+v", results)
 	}
 }
