@@ -2,101 +2,69 @@ package rhhh
 
 import "rhhh/internal/resilience"
 
-// Checkpointer drives crash-safe incremental checkpointing of a Sharded
-// monitor into a resilience.Store: a periodic full checkpoint (the merged
-// published engine snapshot) starts a generation, and the checkpoints in
-// between are generation-delta journal segments — only the lattice nodes
-// whose mutation generation moved since the last durable point, entry-
-// delta-coded (the same core.DeltaCodec the vswitch wire protocol uses).
-// Every file is CRC-framed and written fsynced tmp+rename; recovery
-// replays full+journal, tolerating a truncated or corrupt tail.
+// Checkpointer writes crash-safe incremental checkpoints of a Sharded
+// monitor into a directory: a full checkpoint (the merge of the workers'
+// published engine snapshots) starts a generation, and the checkpoints in
+// between are journal segments holding only the lattice nodes that changed
+// since the last durable one (the delta codec of the vswitch wire
+// protocol). Every file is CRC-framed and written fsynced tmp+rename, and
+// the delta base advances only after a durable write, so a restart
+// recovers exactly the last checkpoint that reported success, tolerating a
+// truncated or corrupt tail.
 //
-// The delta base advances only after the store reports a write durable, so
-// a failed write (disk full, crash) never desynchronizes the chain: the
-// recoverable state always equals the last durable full+journal point.
-//
-// One goroutine owns the Checkpointer. Checkpoint may run concurrently
-// with producers and queries (it takes the query lock only to capture and
-// commit, not across the disk write); Restore must run before producers
+// One goroutine owns the Checkpointer. Checkpoint may run concurrently with
+// producers and queries: it pins the workers' publications itself.
+// Generation is safe from any goroutine; Restore must run before producers
 // start.
 type Checkpointer struct {
-	s         *Sharded
-	store     *resilience.Store
-	fullEvery int
-	deltas    int
-	buf       []byte
+	ck    checkpointer
+	store *resilience.Store
 }
 
-// NewCheckpointer builds a checkpointer writing through store. fullEvery
-// bounds the journal: after that many delta segments the next checkpoint
-// is promoted to a full one, starting a fresh generation and pruning the
-// old (0 means the default, 16).
-func NewCheckpointer(s *Sharded, store *resilience.Store, fullEvery int) *Checkpointer {
-	if fullEvery <= 0 {
-		fullEvery = 16
+// checkpointer is the part of a *core.Checkpointer[K] that does not depend
+// on K.
+type checkpointer interface {
+	Checkpoint() (full bool, err error)
+	Restore() (bool, error)
+	Generation() (gen uint64, seq uint32)
+}
+
+// NewCheckpointer opens (creating if needed) the checkpoint directory dir,
+// adopting a single-file checkpoint found there as its first generation,
+// and builds a checkpointer of s writing into it. After fullEvery journal
+// segments the next checkpoint is a full one, which starts a generation
+// and prunes the old (0 means the default, 16).
+func NewCheckpointer(s *Sharded, dir string, fullEvery int) (*Checkpointer, error) {
+	return newCheckpointer(s, dir, nil, fullEvery)
+}
+
+// newCheckpointer is NewCheckpointer writing through fsys (nil = the real
+// filesystem).
+func newCheckpointer(s *Sharded, dir string, fsys resilience.FS, fullEvery int) (*Checkpointer, error) {
+	store, err := resilience.OpenStore(dir, fsys)
+	if err != nil {
+		return nil, err
 	}
-	return &Checkpointer{s: s, store: store, fullEvery: fullEvery}
+	return &Checkpointer{ck: s.agg.checkpointer(store, fullEvery), store: store}, nil
 }
 
 // Checkpoint captures the merged published state and writes one durable
-// checkpoint — a journal segment normally, a full checkpoint when the
-// journal has reached fullEvery segments (or no base exists yet). It
-// reports which kind was written. On error the store's recoverable state
-// and the delta base are unchanged; the next call simply retries.
-func (c *Checkpointer) Checkpoint() (full bool, err error) {
-	_, seq := c.store.Generation()
-	wantFull := int(seq) >= c.fullEvery
-	c.s.aggMu.Lock()
-	out, wroteFull, err := c.s.agg.appendCheckpoint(c.buf[:0], wantFull)
-	c.s.aggMu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	c.buf = out[:0] // retain capacity across checkpoints
-	if wroteFull {
-		err = c.store.WriteFull(out)
-	} else {
-		err = c.store.AppendSegment(out)
-	}
-	if err != nil {
-		return wroteFull, err
-	}
-	c.s.aggMu.Lock()
-	c.s.agg.commitCheckpoint()
-	c.s.aggMu.Unlock()
-	return wroteFull, nil
-}
+// checkpoint, a journal segment or a full one, and reports which. On error
+// the recoverable state and the delta base are unchanged; the next call
+// simply retries.
+func (c *Checkpointer) Checkpoint() (full bool, err error) { return c.ck.Checkpoint() }
 
-// Restore recovers the newest durable full+journal state from the store
-// and loads it into the monitor (worker 0's engine, published
-// immediately), reporting whether anything was restored. Call it on a
-// freshly constructed Sharded before any producer goroutine starts; the
-// engines must use a snapshot-capable backend (Space Saving or CHK).
-func (c *Checkpointer) Restore() (restored bool, err error) {
-	fullBytes, segs, err := c.store.Recover()
-	if err != nil {
-		return false, err
-	}
-	if fullBytes == nil {
-		return false, nil
-	}
-	c.s.aggMu.Lock()
-	err = c.s.agg.applyCheckpoint(fullBytes, segs)
-	c.s.aggMu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	// Publish the restored state: Restore runs on the (sole) pre-producer
-	// goroutine, which owns every worker at this point.
-	c.s.workers[0].Sync()
-	return true, nil
-}
+// Restore recovers the newest durable state into worker 0's engine and
+// publishes it, reporting whether there was any. Call it on a freshly
+// constructed Sharded before any producer goroutine starts.
+func (c *Checkpointer) Restore() (restored bool, err error) { return c.ck.Restore() }
 
-// Store returns the underlying checkpoint store (telemetry registration,
-// generation inspection).
-func (c *Checkpointer) Store() *resilience.Store { return c.store }
+// Generation returns the generation of the last durable checkpoint or
+// restore, and the journal segments written in it (0, 0 before any). Safe
+// from any goroutine.
+func (c *Checkpointer) Generation() (gen uint64, seq uint32) { return c.ck.Generation() }
 
-// Instrument registers the store's checkpoint counters with reg.
+// Instrument registers the checkpoint counters with reg.
 func (c *Checkpointer) Instrument(reg *Registry) {
 	if reg == nil {
 		return

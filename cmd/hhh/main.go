@@ -9,15 +9,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"net/netip"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -45,7 +42,7 @@ func main() {
 		theta    = flag.Float64("theta", 0.01, "HHH threshold θ")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		weighted = flag.Bool("bytes", false, "weight packets by byte count instead of counting packets")
-		ckpt     = flag.String("checkpoint", "", "snapshot checkpoint file: restored on start if present, written periodically and at exit")
+		ckpt     = flag.String("checkpoint", "", "snapshot checkpoint store directory: restored on start if present, written periodically and at exit; a single-file checkpoint at the path is adopted")
 		ckptEvry = flag.Uint64("checkpoint-every", 1_000_000, "packets between checkpoint writes (0 = only at exit)")
 		watch    = flag.Bool("watch", false, "log standing-query events (admitted/retired/updated HHH prefixes) during replay")
 		watchEvy = flag.Uint64("watch-every", 100_000, "packets between standing-query ticks")
@@ -95,10 +92,13 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	var store *resilience.Store
 	if *ckpt != "" {
-		if restored, err := restoreCheckpoint(mon, *ckpt); err != nil {
+		var restored bool
+		if store, restored, err = openCheckpoint(*ckpt, mon); err != nil {
 			fatalf("restoring checkpoint: %v", err)
-		} else if restored {
+		}
+		if restored {
 			fmt.Fprintf(os.Stderr, "hhh: restored N=%d from %s\n", mon.N(), *ckpt)
 		}
 	}
@@ -158,7 +158,6 @@ func main() {
 	defer signal.Stop(sigC)
 
 	var count uint64
-	var snapBuf *rhhh.Snapshot
 replay:
 	for {
 		if count%4096 == 0 {
@@ -188,9 +187,8 @@ replay:
 		if *watch && count%*watchEvy == 0 {
 			mon.Tick()
 		}
-		if *ckpt != "" && *ckptEvry > 0 && count%*ckptEvry == 0 {
-			snapBuf = mon.SnapshotInto(snapBuf)
-			if err := writeCheckpoint(snapBuf, *ckpt); err != nil {
+		if store != nil && *ckptEvry > 0 && count%*ckptEvry == 0 {
+			if err := saveSnapshot(store, mon); err != nil {
 				fatalf("writing checkpoint: %v", err)
 			}
 		}
@@ -198,9 +196,8 @@ replay:
 	if *watch {
 		mon.Tick() // deliver the stream's final deltas
 	}
-	if *ckpt != "" {
-		snapBuf = mon.SnapshotInto(snapBuf)
-		if err := writeCheckpoint(snapBuf, *ckpt); err != nil {
+	if store != nil {
+		if err := saveSnapshot(store, mon); err != nil {
 			fatalf("writing checkpoint: %v", err)
 		}
 	}
@@ -249,43 +246,35 @@ func toNetip(a hierarchy.Addr, v6 bool) netip.Addr {
 	return netip.AddrFrom4([4]byte{b[0], b[1], b[2], b[3]})
 }
 
-// restoreCheckpoint loads a checkpoint file into the monitor; a missing file
-// is a fresh start, not an error.
-func restoreCheckpoint(mon *rhhh.Monitor, path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
+// openCheckpoint opens the checkpoint store at path (adopting a single-file
+// checkpoint found there) and loads its newest snapshot into mon, reporting
+// whether it held one.
+func openCheckpoint(path string, mon *rhhh.Monitor) (*resilience.Store, bool, error) {
+	store, err := resilience.OpenStore(path, nil)
 	if err != nil {
-		return false, err
+		return nil, false, err
+	}
+	full, _, err := store.Recover()
+	if err != nil || full == nil {
+		return store, false, err
 	}
 	var snap rhhh.Snapshot
-	if err := snap.UnmarshalBinary(data); err != nil {
-		return false, err
+	if err := snap.UnmarshalBinary(full); err != nil {
+		return nil, false, err
 	}
-	if err := mon.LoadSnapshot(&snap); err != nil {
-		return false, err
-	}
-	return true, nil
+	return store, true, mon.LoadSnapshot(&snap)
 }
 
-// writeCheckpoint atomically replaces the checkpoint file: fsynced temp
-// write, rename, directory sync, so a crash or power loss mid-write never
-// corrupts — or silently drops — the last good checkpoint.
-func writeCheckpoint(snap *rhhh.Snapshot, path string) error {
-	data, err := snap.MarshalBinary()
+// saveSnapshot durably writes mon's snapshot as a new full generation of
+// store, which prunes the previous one: a Monitor publishes no snapshots to
+// journal deltas against. The payload is Snapshot.MarshalBinary's bytes, so
+// a single-file checkpoint from before the store is exactly one.
+func saveSnapshot(store *resilience.Store, mon *rhhh.Monitor) error {
+	data, err := mon.Snapshot().MarshalBinary()
 	if err != nil {
 		return err
 	}
-	fsys := resilience.OSFS{}
-	tmp := path + ".tmp"
-	if err := fsys.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return store.WriteFull(data)
 }
 
 // readHeaderTimeout bounds how long a scraper may take to send its request

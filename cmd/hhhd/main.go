@@ -105,17 +105,15 @@ func main() {
 	// before any feeder runs (Restore requires the pre-producer window).
 	var ckpt *rhhh.Checkpointer
 	if *ckptDir != "" {
-		store, err := resilience.OpenStore(*ckptDir, nil)
-		if err != nil {
+		if ckpt, err = rhhh.NewCheckpointer(mon, *ckptDir, *ckptFullEvr); err != nil {
 			fatalf("opening checkpoint store: %v", err)
 		}
-		ckpt = rhhh.NewCheckpointer(mon, store, *ckptFullEvr)
 		restored, err := ckpt.Restore()
 		if err != nil {
 			fatalf("restoring checkpoint: %v", err)
 		}
 		if restored {
-			gen, seq := store.Generation()
+			gen, seq := ckpt.Generation()
 			fmt.Fprintf(os.Stderr, "hhhd: restored checkpoint generation %d (+%d segments), n=%d\n", gen, seq, mon.N())
 		}
 	}

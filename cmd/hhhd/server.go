@@ -244,7 +244,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		PanicsTotal:   s.resStats.Panics.Load(),
 	}
 	if s.ckpt != nil {
-		resp.CheckpointGen, resp.CheckpointSeq = s.ckpt.Store().Generation()
+		resp.CheckpointGen, resp.CheckpointSeq = s.ckpt.Generation()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// ok and degraded still serve traffic; failing and draining tell the

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -35,7 +31,7 @@ type dataplaneConfig struct {
 	duration       time.Duration
 	watch          bool
 	interval       time.Duration // the reader's tick
-	ckpt           string        // checkpoint file ("" = none)
+	ckpt           string        // checkpoint store directory ("" = none)
 	ckptEvery      uint64        // combined packets between checkpoint writes (0 = only at exit)
 	reg            *telemetry.Registry
 	stop           <-chan struct{} // graceful drain: ends the drive early
@@ -126,17 +122,26 @@ func runDataplane(cfg dataplaneConfig) (dataplaneReport, error) {
 			Epsilon: cfg.epsilon, Delta: cfg.delta, V: cfg.v,
 			Seed: cfg.seed + uint64(i)*0x9e3779b97f4a7c15, Backend: cfg.backend,
 		})
-		if i == 0 && cfg.ckpt != "" {
-			restored, err := restoreEngine(eng, cfg.ckpt)
-			if err != nil {
-				return dataplaneReport{}, fmt.Errorf("restoring checkpoint: %w", err)
-			}
-			if restored {
-				fmt.Fprintf(cfg.log, "vswitchd: restored N=%d from %s\n", eng.N(), cfg.ckpt)
-			}
+		ws[i] = &dpWorker{eng: eng, ring: core.NewPubRing(eng), pkts: parts[i]}
+		rings[i] = ws[i].ring
+	}
+	var ck *core.Checkpointer[uint64]
+	if cfg.ckpt != "" {
+		store, err := resilience.OpenStore(cfg.ckpt, nil)
+		if err != nil {
+			return dataplaneReport{}, fmt.Errorf("opening checkpoint store: %w", err)
 		}
-		w := &dpWorker{eng: eng, ring: core.NewPubRing(eng), pkts: parts[i]}
-		rings[i] = w.ring
+		ck = core.NewCheckpointer(store, rings, 0)
+		restored, err := ck.Restore() // into worker 0
+		if err != nil {
+			return dataplaneReport{}, fmt.Errorf("restoring checkpoint: %w", err)
+		}
+		if restored {
+			fmt.Fprintf(cfg.log, "vswitchd: restored N=%d from %s\n", ws[0].eng.N(), cfg.ckpt)
+		}
+	}
+	for i, w := range ws {
+		eng := w.eng
 		eh := vswitch.NewEngineHook(eng)
 		if cfg.byBytes {
 			eh = vswitch.NewEngineHookBytes(eng)
@@ -151,11 +156,10 @@ func runDataplane(cfg dataplaneConfig) (dataplaneReport, error) {
 			hook = &cadenceHook{eh: eh, w: w, publish: reading, next: eng.N() + publishEvery}
 		}
 		w.dp = vswitch.NewDatapath(&ft, vswitch.NewEMC(8192, cfg.seed+uint64(i)), hook)
-		ws[i] = w
 	}
 
 	rd := &reader{
-		cfg: &cfg, rings: rings,
+		cfg: &cfg, rings: rings, ck: ck,
 		ex: core.NewExtractor(cfg.dom), differ: core.NewDiffer[uint64](),
 		watch:    watchPrinter{out: cfg.out, log: cfg.log, dom: cfg.dom},
 		nextCkpt: ws[0].eng.N() + cfg.ckptEvery, // only worker 0 starts restored
@@ -194,22 +198,26 @@ func runDataplane(cfg dataplaneConfig) (dataplaneReport, error) {
 		rep.stats[i] = w.dp.Stats()
 		rep.elapsed = max(rep.elapsed, elapsed[i])
 	}
-	var err error
-	rep.hhh, rep.weight, err = rd.final()
-	return rep, err
+	rep.hhh, rep.weight = rd.final()
+	if ck != nil { // the exit checkpoint, of the final publications
+		if _, err := ck.Checkpoint(); err != nil {
+			return dataplaneReport{}, fmt.Errorf("writing checkpoint: %w", err)
+		}
+	}
+	return rep, nil
 }
 
 // reader is the dataplane's one reader: it pins the workers' publications
-// for the standing query (-watch), the checkpoint (-checkpoint) and the
-// final report. Not safe for concurrent use.
+// for the standing query (-watch) and the final report, and runs the
+// periodic checkpoint (-checkpoint), whose checkpointer pins them itself.
+// Not safe for concurrent use.
 type reader struct {
 	cfg      *dataplaneConfig
 	rings    []*core.PubRing[uint64]
 	pins     core.PinSet[uint64]
 	ex       *core.Extractor[uint64]
 	differ   *core.Differ[uint64]
-	sm       core.SnapshotMerger[uint64]
-	merged   core.EngineSnapshot[uint64]
+	ck       *core.Checkpointer[uint64] // nil without -checkpoint
 	watch    watchPrinter
 	seq      uint64 // watch ticks
 	nextCkpt uint64 // combined packets at which the next periodic checkpoint is due
@@ -226,7 +234,7 @@ func (rd *reader) run(done <-chan struct{}) error {
 			return nil
 		case <-t.C:
 			if err := rd.tick(); err != nil {
-				return err
+				return fmt.Errorf("writing checkpoint: %w", err)
 			}
 		}
 	}
@@ -243,46 +251,25 @@ func (rd *reader) tick() error {
 			rd.watch.print(rd.seq, weight, d.Admitted, d.Retired, d.Updated)
 		}
 	}
-	due := rd.cfg.ckpt != "" && rd.cfg.ckptEvery > 0 && packets >= rd.nextCkpt
-	if due {
-		for rd.nextCkpt <= packets {
-			rd.nextCkpt += rd.cfg.ckptEvery
-		}
-		rd.sm.Merge(&rd.merged, snaps...)
-	}
 	rd.pins.Unpin()
-	if !due {
+	if rd.ck == nil || rd.cfg.ckptEvery == 0 || packets < rd.nextCkpt {
 		return nil
 	}
-	return rd.checkpoint()
+	for rd.nextCkpt <= packets {
+		rd.nextCkpt += rd.cfg.ckptEvery
+	}
+	_, err := rd.ck.Checkpoint()
+	return err
 }
 
 // final reads the last publications: the HHH set and stream weight over
-// the workers' union, and writes the exit checkpoint.
-func (rd *reader) final() ([]core.Result[uint64], uint64, error) {
+// the workers' union.
+func (rd *reader) final() ([]core.Result[uint64], uint64) {
 	snaps, _ := rd.pins.Pin(rd.rings)
 	_, weight := sums(snaps)
 	hhh := slices.Clone(rd.ex.ExtractSnapshots(snaps, rd.cfg.theta))
-	if rd.cfg.ckpt != "" {
-		rd.sm.Merge(&rd.merged, snaps...)
-	}
 	rd.pins.Unpin()
-	if rd.cfg.ckpt != "" {
-		if err := rd.checkpoint(); err != nil {
-			return nil, 0, err
-		}
-	}
-	return hhh, weight, nil
-}
-
-// checkpoint writes the last merge: one engine snapshot over the union of
-// the workers' publications, restorable into a single engine. The merge
-// copies, so the write runs with no publication pinned.
-func (rd *reader) checkpoint() error {
-	if err := writeCheckpoint(&rd.merged, rd.cfg.ckpt); err != nil {
-		return fmt.Errorf("writing checkpoint: %w", err)
-	}
-	return nil
+	return hhh, weight
 }
 
 // sums returns the combined packets and stream weight of snaps.
@@ -292,47 +279,4 @@ func sums(snaps []*core.EngineSnapshot[uint64]) (packets, weight uint64) {
 		weight += s.Weight
 	}
 	return packets, weight
-}
-
-// restoreEngine loads an engine snapshot checkpoint; a missing file is a
-// fresh start, not an error.
-func restoreEngine(eng *core.Engine[uint64], path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	es, rest, err := core.DecodeEngineSnapshot[uint64](data)
-	if err != nil {
-		return false, err
-	}
-	if len(rest) != 0 {
-		return false, fmt.Errorf("%d trailing bytes in checkpoint", len(rest))
-	}
-	if err := eng.LoadSnapshot(es); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// writeCheckpoint atomically replaces the checkpoint file: fsynced temp
-// write, rename, directory sync — the same durability discipline as the
-// resilience checkpoint store, so a crash (or power loss) mid-write never
-// costs the last good checkpoint.
-func writeCheckpoint(es *core.EngineSnapshot[uint64], path string) error {
-	data, err := es.AppendBinary(nil)
-	if err != nil {
-		return err
-	}
-	fsys := resilience.OSFS{}
-	tmp := path + ".tmp"
-	if err := fsys.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
 }

@@ -12,6 +12,7 @@ import (
 
 	"rhhh/internal/core"
 	"rhhh/internal/hierarchy"
+	"rhhh/internal/resilience"
 	"rhhh/internal/trace"
 )
 
@@ -106,7 +107,12 @@ func TestDataplaneCheckpointRestoresCombinedN(t *testing.T) {
 	}
 	combined := rep.stats[0].Received + rep.stats[1].Received
 	eng := core.New(cfg.dom, core.Config{Epsilon: cfg.epsilon, Delta: cfg.delta, V: cfg.v, Backend: cfg.backend})
-	if ok, err := restoreEngine(eng, cfg.ckpt); !ok || err != nil {
+	store, err := resilience.OpenStore(cfg.ckpt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := core.NewCheckpointer(store, []*core.PubRing[uint64]{core.NewPubRing(eng)}, 0)
+	if ok, err := ck.Restore(); !ok || err != nil {
 		t.Fatalf("restore: %v, %v", ok, err)
 	}
 	if eng.N() != combined || eng.Weight() != rep.weight {
@@ -127,9 +133,11 @@ func TestDataplaneCheckpointRestoresCombinedN(t *testing.T) {
 	}
 }
 
-// TestDataplaneRestoresParentCheckpoint: a checkpoint written by the
-// single-engine dataplane before the workers shared one path (one pass of
-// the chicago16 workload, N = 262144) still restores. It was written with
+// TestDataplaneRestoresParentCheckpoint: a single-file checkpoint written
+// by the single-engine dataplane before the workers shared one path (one
+// pass of the chicago16 workload, N = 262144) is adopted by the checkpoint
+// store and restores; the path is then a store directory, which a second
+// run restores from. It was written with
 //
 //	vswitchd -mode dataplane -epsilon 0.05 -delta 0.05 -v 10 -duration 50ms \
 //	    -seed 7 -checkpoint parent-checkpoint.bin -checkpoint-every 0
@@ -152,8 +160,23 @@ func TestDataplaneRestoresParentCheckpoint(t *testing.T) {
 	if !strings.Contains(log.String(), "restored N=262144 ") {
 		t.Fatalf("logged %q, want restored N=262144", log.String())
 	}
-	if want := 262144 + rep.stats[0].Received + rep.stats[1].Received; rep.weight != want {
-		t.Fatalf("weight %d, want %d", rep.weight, want)
+	first := 262144 + rep.stats[0].Received + rep.stats[1].Received
+	if rep.weight != first {
+		t.Fatalf("weight %d, want %d", rep.weight, first)
+	}
+	if fi, err := os.Stat(cfg.ckpt); err != nil || !fi.IsDir() {
+		t.Fatalf("checkpoint path after adoption: %v, %v; want a store directory", fi, err)
+	}
+	if _, err := os.Stat(cfg.ckpt + ".pre-store"); !os.IsNotExist(err) {
+		t.Fatalf("adopted file left behind: %v", err)
+	}
+
+	log.Reset()
+	if _, err := runDataplane(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("restored N=%d ", first); !strings.Contains(log.String(), want) {
+		t.Fatalf("second run logged %q, want %q", log.String(), want)
 	}
 }
 

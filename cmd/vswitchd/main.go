@@ -43,7 +43,7 @@ func main() {
 		profile  = flag.String("profile", "chicago16", "traffic profile: "+fmt.Sprint(trace.ProfileNames()))
 		udp      = flag.Bool("udp", false, "distributed mode: use loopback UDP instead of in-process transport")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
-		ckpt     = flag.String("checkpoint", "", "dataplane mode: checkpoint file of the workers' merged engine snapshot, restored into worker 0 on start if present, written periodically and at exit")
+		ckpt     = flag.String("checkpoint", "", "dataplane mode: checkpoint store directory of the workers' merged engine snapshot (full checkpoints plus a delta journal), restored into worker 0 on start if present, written periodically and at exit; a single-file checkpoint at the path is adopted")
 		ckptEvry = flag.Uint64("checkpoint-every", 1_000_000, "combined packets between checkpoint writes, checked every -watch-interval (0 = only at exit)")
 		watch    = flag.Bool("watch", false, "log standing-query events (admitted/retired/updated HHH prefixes) while traffic runs")
 		watchIvl = flag.Duration("watch-interval", 200*time.Millisecond, "standing-query tick interval (-watch); in dataplane mode also how often -checkpoint-every is checked")

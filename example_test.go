@@ -3,6 +3,7 @@ package rhhh_test
 import (
 	"fmt"
 	"net/netip"
+	"os"
 	"strings"
 
 	"rhhh"
@@ -73,4 +74,52 @@ func ExampleNewRegistry() {
 		}
 	}
 	// Output: rhhh_engine_packets_total{worker="0"} 1000
+}
+
+// ExampleNewCheckpointer checkpoints a two-worker sharded monitor into a
+// directory and restores it into a fresh one, as a restarted process
+// would: the restored monitor starts from the combined N.
+func ExampleNewCheckpointer() {
+	dir, err := os.MkdirTemp("", "rhhh-checkpoint")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	cfg := rhhh.Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 1}
+
+	s, err := rhhh.NewSharded(cfg, 2)
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	ck, err := rhhh.NewCheckpointer(s, dir, 0)
+	if err != nil {
+		panic(err)
+	}
+	for i := range s.Workers() {
+		w := s.Worker(i)
+		for j := range 3000 {
+			w.Update(netip.AddrFrom4([4]byte{10, byte(i), byte(j >> 8), byte(j)}), netip.AddrFrom4([4]byte{192, 0, 2, 1}))
+		}
+	}
+	s.Sync()
+	if _, err := ck.Checkpoint(); err != nil {
+		panic(err)
+	}
+
+	restarted, err := rhhh.NewSharded(cfg, 2)
+	if err != nil {
+		panic(err)
+	}
+	defer restarted.Close()
+	ck2, err := rhhh.NewCheckpointer(restarted, dir, 0)
+	if err != nil {
+		panic(err)
+	}
+	restored, err := ck2.Restore()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("restored:", restored, "N:", restarted.N())
+	// Output: restored: true N: 6000
 }

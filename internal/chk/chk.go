@@ -16,10 +16,11 @@
 // true frequency for heavy keys. Accuracy is established empirically against
 // internal/exact (see chk_test.go) rather than by a worst-case bound.
 //
-// Determinism: a sketch is seeded, and for the integer lattice carriers
-// (uint32, uint64) equal seeds and equal update sequences give bit-identical
-// state. Other key types hash through hash/maphash, whose process-random
-// seed makes slot placement (and hence decay competition) vary across runs.
+// Determinism: a sketch is seeded, and for every lattice carrier (uint32,
+// uint64 and the IPv6 hierarchy.Addr and hierarchy.AddrPair) equal seeds and
+// equal update sequences give bit-identical state. Other key types hash
+// through hash/maphash, whose process-random seed makes slot placement (and
+// hence decay competition) vary across runs.
 package chk
 
 import (
@@ -28,6 +29,7 @@ import (
 	"math/bits"
 
 	"rhhh/internal/fastrand"
+	"rhhh/internal/hierarchy"
 )
 
 // DecayBase is the exponential-decay base b: an unmonitored key decays the
@@ -111,16 +113,26 @@ type Sketch[K comparable] struct {
 }
 
 // seededHashFor returns the key-hash function, called with the sketch's
-// seed: integer carriers get a seeded splitmix64 finalizer (deterministic
-// across runs), anything else falls back to hash/maphash with its
-// process-random seed, which ignores the sketch's.
+// seed: the lattice carriers start from the seed and chain their 64-bit
+// words through splitmix64's finalizer (deterministic across runs),
+// truncated to 32 bits at the end; anything else falls back to
+// hash/maphash with its process-random seed, which ignores the sketch's.
 func seededHashFor[K comparable]() func(seed uint64, k K) uint32 {
 	var fn any
 	switch any(*new(K)).(type) {
 	case uint32:
-		fn = func(seed uint64, k uint32) uint32 { return mix32(seed ^ uint64(k)) }
+		fn = func(seed uint64, k uint32) uint32 { return uint32(mix64(seed ^ uint64(k))) }
 	case uint64:
-		fn = func(seed uint64, k uint64) uint32 { return mix32(seed ^ k) }
+		fn = func(seed uint64, k uint64) uint32 { return uint32(mix64(seed ^ k)) }
+	case hierarchy.Addr:
+		fn = func(seed uint64, k hierarchy.Addr) uint32 { return uint32(mix64(mix64(seed^k.Hi) ^ k.Lo)) }
+	case hierarchy.AddrPair:
+		fn = func(seed uint64, k hierarchy.AddrPair) uint32 {
+			h := mix64(seed ^ k.Src.Hi)
+			h = mix64(h ^ k.Src.Lo)
+			h = mix64(h ^ k.Dst.Hi)
+			return uint32(mix64(h ^ k.Dst.Lo))
+		}
 	default:
 		ms := maphash.MakeSeed()
 		return func(_ uint64, k K) uint32 { return uint32(maphash.Comparable(ms, k)) }
@@ -128,11 +140,11 @@ func seededHashFor[K comparable]() func(seed uint64, k K) uint32 {
 	return fn.(func(seed uint64, k K) uint32)
 }
 
-// mix32 is splitmix64's finalizer, truncated to 32 bits.
-func mix32(z uint64) uint32 {
+// mix64 is splitmix64's finalizer.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return uint32(z ^ (z >> 31))
+	return z ^ (z >> 31)
 }
 
 // fpOf derives a non-zero fingerprint byte from a key hash (spacesaving's
@@ -144,8 +156,8 @@ func altBucket(b, fp, mask uint32) uint32 { return (b ^ (fp * 0x5bd1)) & mask }
 
 // New returns a sketch with at least capacity counters, rounded up to the
 // table's 4-way power-of-two geometry (Capacity reports the rounded size).
-// Equal seeds give identical placement and decay decisions for integer key
-// types. capacity must be at least 1.
+// Equal seeds give identical placement and decay decisions for the lattice
+// carriers. capacity must be at least 1.
 func New[K comparable](capacity int, seed uint64) *Sketch[K] {
 	if capacity < 1 {
 		panic("chk: capacity must be >= 1")

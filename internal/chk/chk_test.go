@@ -1,6 +1,8 @@
 package chk
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"rhhh/internal/exact"
@@ -208,6 +210,48 @@ func TestDeterminism(t *testing.T) {
 	c := run(43)
 	if encC := c.Snapshot().AppendBinary(nil, putU64); string(encA) == string(encC) {
 		t.Fatal("different seeds produced identical snapshots (suspicious)")
+	}
+}
+
+// TestDeterminismIPv6: the IPv6 carriers hash from the sketch's seed as
+// well, so two sketches with equal seeds fed the same keys marshal
+// identical snapshots.
+func TestDeterminismIPv6(t *testing.T) {
+	putAddr := func(b []byte, k hierarchy.Addr) []byte {
+		return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, k.Hi), k.Lo)
+	}
+	addr := func(r *fastrand.Source) hierarchy.Addr {
+		return hierarchy.Addr{Hi: 0x20010db8<<32 | r.Uint64n(2500), Lo: r.Uint64n(4)}
+	}
+	t.Run("Addr", func(t *testing.T) {
+		sameSnapshots(t, addr, putAddr)
+	})
+	t.Run("AddrPair", func(t *testing.T) {
+		sameSnapshots(t, func(r *fastrand.Source) hierarchy.AddrPair {
+			return hierarchy.AddrPair{Src: addr(r), Dst: addr(r)}
+		}, func(b []byte, k hierarchy.AddrPair) []byte {
+			return putAddr(putAddr(b, k.Src), k.Dst)
+		})
+	})
+}
+
+// sameSnapshots feeds two sketches seeded alike the same contended stream
+// and fails unless they marshal identically.
+func sameSnapshots[K comparable](t *testing.T, key func(*fastrand.Source) K, put func([]byte, K) []byte) {
+	var enc [2][]byte
+	for i := range enc {
+		s := New[K](64, 42)
+		r := fastrand.New(31)
+		for range 50_000 {
+			s.IncrementBy(key(r), 1+r.Uint64n(4))
+		}
+		if s.Decays() == 0 {
+			t.Fatal("no decay competition: the stream does not exercise placement")
+		}
+		enc[i] = s.Snapshot().AppendBinary(nil, put)
+	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Fatal("same seed, same stream: snapshots differ")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -146,10 +147,19 @@ type Store struct {
 // means the real filesystem. Orphaned *.tmp files from interrupted writes
 // are swept; the store resumes the newest recoverable generation, so
 // segments appended after a restart extend the same journal Recover will
-// replay.
+// replay. A regular file at dir, a single-file checkpoint whose bytes are a
+// full payload, is adopted as generation 1 (see adopt).
 func OpenStore(dir string, fsys FS) (*Store, error) {
 	if fsys == nil {
 		fsys = OSFS{}
+	}
+	dir = filepath.Clean(dir)
+	// Only a regular file reads without error: a directory fails with
+	// EISDIR, a missing path with ErrNotExist.
+	if _, err := fsys.ReadFile(dir); err == nil {
+		if err := fsys.Rename(dir, dir+".pre-store"); err != nil {
+			return nil, fmt.Errorf("resilience: moving single-file checkpoint aside: %w", err)
+		}
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resilience: checkpoint dir: %w", err)
@@ -170,7 +180,37 @@ func OpenStore(dir string, fsys FS) (*Store, error) {
 	}
 	s.gen, s.seq = gen, seq
 	s.Stats.Gen.Store(gen)
+	if err := s.adopt(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// adopt finishes moving a single-file checkpoint, renamed by OpenStore to
+// <dir>.pre-store, into the store: it writes the bytes as the first full
+// checkpoint, makes the rename and the directory durable, and only then
+// removes the renamed file, so a crash at any step leaves the state in one
+// of the two. A leftover beside a recoverable generation, which holds its
+// state or a newer one, is only removed.
+func (s *Store) adopt() error {
+	old := s.dir + ".pre-store"
+	data, err := s.fs.ReadFile(old)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err == nil && s.gen == 0 {
+		err = s.WriteFull(data)
+	}
+	if err == nil {
+		err = s.fs.SyncDir(filepath.Dir(s.dir))
+	}
+	if err == nil {
+		err = s.fs.Remove(old)
+	}
+	if err != nil {
+		return fmt.Errorf("resilience: adopting single-file checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Dir returns the store's directory.

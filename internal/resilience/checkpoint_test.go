@@ -250,3 +250,68 @@ func TestStoreFaultsNeverCorruptRecoverableState(t *testing.T) {
 		})
 	}
 }
+
+// TestStoreAdoptsSingleFile covers the three states adoption can leave: a
+// single-file checkpoint at the store's path becomes generation 1; a
+// leftover <path>.pre-store beside a store with no recoverable generation
+// (a crash before its generation 1 was durable) is adopted; a leftover
+// beside a durable generation (a crash before its removal) is removed,
+// and the store keeps its own state.
+func TestStoreAdoptsSingleFile(t *testing.T) {
+	open := func(t *testing.T, dir string) (full []byte, segs [][]byte) {
+		t.Helper()
+		full, segs = recoverAll(t, dir, nil)
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("store path is not a directory: %v, %v", fi, err)
+		}
+		if _, err := os.Stat(dir + ".pre-store"); !os.IsNotExist(err) {
+			t.Fatalf("leftover not removed: %v", err)
+		}
+		return full, segs
+	}
+	t.Run("file", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.WriteFile(dir, []byte("single"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		full, segs := open(t, dir)
+		if string(full) != "single" || len(segs) != 0 {
+			t.Fatalf("recovered %q + %d segs, want single + 0", full, len(segs))
+		}
+		if names, _ := (OSFS{}).ReadDir(dir); len(names) != 1 || names[0] != fullName(1) {
+			t.Fatalf("store holds %v, want generation 1 alone", names)
+		}
+	})
+	t.Run("leftover beside empty store", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir+".pre-store", []byte("single"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if full, _ := open(t, dir); string(full) != "single" {
+			t.Fatalf("recovered %q, want the leftover", full)
+		}
+	})
+	t.Run("leftover beside durable generation", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		s, err := OpenStore(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteFull([]byte("durable")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendSegment([]byte("seg")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir+".pre-store", []byte("single"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		full, segs := open(t, dir)
+		if string(full) != "durable" || len(segs) != 1 {
+			t.Fatalf("recovered %q + %d segs, want durable + 1", full, len(segs))
+		}
+	})
+}

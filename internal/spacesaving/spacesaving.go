@@ -137,9 +137,9 @@ func swarZero(w uint32) uint32 {
 }
 
 // hashFuncFor picks the key-hash function at construction time: integer
-// carriers (the IPv4 key types) get an inline splitmix64 finalizer, Addr and
-// AddrPair mix their words directly, and any other comparable type falls
-// back to hash/maphash. Each summary gets its own random seed.
+// carriers (the IPv4 key types) get an inline splitmix64 finalizer, and any
+// other comparable type, the IPv6 Addr and AddrPair included, falls back to
+// hash/maphash. Each summary gets its own random seed.
 func hashFuncFor[K comparable]() func(k K) uint32 {
 	seed := rand.Uint64()
 	mix := func(z uint64) uint32 {

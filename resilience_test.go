@@ -3,6 +3,7 @@ package rhhh_test
 import (
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -59,11 +60,10 @@ func TestCheckpointerRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	store, err := resilience.OpenStore(dir, nil)
+	ck, err := rhhh.NewCheckpointer(mon, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := rhhh.NewCheckpointer(mon, store, 4)
 
 	fulls, deltas := 0, 0
 	for round := 0; round < 7; round++ {
@@ -94,11 +94,10 @@ func TestCheckpointerRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon2.Close()
-	store2, err := resilience.OpenStore(dir, nil)
+	ck2, err := rhhh.NewCheckpointer(mon2, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck2 := rhhh.NewCheckpointer(mon2, store2, 4)
 	restored, err := ck2.Restore()
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
@@ -133,15 +132,14 @@ func TestCheckpointerFaultsRestoreLastDurable(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		dir := t.TempDir()
 		ffs := resilience.NewFaultFS(resilience.OSFS{}, seed, 0)
-		store, err := resilience.OpenStore(dir, ffs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mon, err := rhhh.NewSharded(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck := rhhh.NewCheckpointer(mon, store, 3)
+		ck, err := rhhh.NewCheckpointerFS(mon, dir, ffs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		ffs.SetRate(0.4)
 		var wantN uint64
@@ -170,11 +168,10 @@ func TestCheckpointerFaultsRestoreLastDurable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store2, err := resilience.OpenStore(dir, nil)
+		ck2, err := rhhh.NewCheckpointer(mon2, dir, 3)
 		if err != nil {
 			t.Fatalf("seed %d: reopening after faults: %v", seed, err)
 		}
-		ck2 := rhhh.NewCheckpointer(mon2, store2, 3)
 		restored, err := ck2.Restore()
 		if err != nil {
 			t.Fatalf("seed %d: Restore after faults: %v", seed, err)
@@ -189,6 +186,48 @@ func TestCheckpointerFaultsRestoreLastDurable(t *testing.T) {
 			t.Fatalf("seed %d: restored hits differ from last durable point", seed)
 		}
 		_ = mon2.Close()
+	}
+}
+
+// TestCheckpointerGenerationConcurrent: Generation is safe from any
+// goroutine while the owner checkpoints — hhhd's /healthz reads it while
+// its checkpoint loop writes — and reports the last durable point.
+func TestCheckpointerGenerationConcurrent(t *testing.T) {
+	mon, err := rhhh.NewSharded(rhhh.Config{Dims: 1, Epsilon: 0.01, Delta: 0.01, Seed: 9}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	ck, err := rhhh.NewCheckpointer(mon, t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				ck.Generation()
+				runtime.Gosched()
+			}
+		}
+	}()
+	for round := 0; round < 10; round++ {
+		feedShardedMix(mon, round)
+		if _, err := ck.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", round, err)
+		}
+	}
+	close(stop)
+	<-done
+	// fullEvery=4: rounds 0 and 5 write generations 1 and 2, and rounds
+	// 6..9 the four segments of generation 2.
+	if gen, seq := ck.Generation(); gen != 2 || seq != 4 {
+		t.Fatalf("Generation() = %d, %d, want 2, 4", gen, seq)
 	}
 }
 

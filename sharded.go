@@ -461,15 +461,8 @@ type shardAgg interface {
 	freshSnapshot() snapCore
 	watchHub() watchCtl
 	instrument(q *telemetry.QueryStats)
-
-	// Incremental-checkpoint surface (see Checkpointer): append encodes
-	// the merged published state — full, or delta against the last
-	// committed base; commit advances the base after the bytes are
-	// durable; apply loads a recovered full+journal into worker 0's
-	// engine. All three run under the Sharded's aggMu.
-	appendCheckpoint(buf []byte, wantFull bool) (out []byte, wroteFull bool, err error)
-	commitCheckpoint()
-	applyCheckpoint(full []byte, segs [][]byte) error
+	// checkpointer builds the workers' checkpointer (see Checkpointer).
+	checkpointer(st *resilience.Store, fullEvery int) checkpointer
 }
 
 // aggState implements shardAgg over carrier type K with a reusable extractor
@@ -479,7 +472,7 @@ type shardAgg interface {
 // reads past its head, and a query with no new publications short-circuits
 // entirely. The merger serves Snapshot alone.
 type aggState[K comparable] struct {
-	im    *impl[K]           // worker 0's, whose engine a checkpoint restores into
+	im    *impl[K]           // worker 0's
 	rings []*core.PubRing[K] // one per worker, in worker order
 	pins  core.PinSet[K]
 	sm    core.SnapshotMerger[K]
@@ -489,19 +482,6 @@ type aggState[K comparable] struct {
 	// Watch-path pins, separate from the query path's: the watch hub
 	// serializes its ticks on its own lock.
 	wpins core.PinSet[K]
-
-	// Checkpoint scratch, owned by aggMu holders. ckptMerged is a second
-	// merge destination (nothing else overwrites it between an append and
-	// its commit, which bracket a disk write outside the lock); ckptBase /
-	// ckptGens are the last durably committed state — the delta-encoding
-	// base, advanced only by commitCheckpoint so a failed write never
-	// moves it.
-	ckptSM      core.SnapshotMerger[K]
-	ckptMerged  core.EngineSnapshot[K]
-	ckptBase    core.EngineSnapshot[K]
-	ckptGens    []uint64
-	ckptCodec   core.DeltaCodec[K]
-	ckptHasBase bool
 
 	// qtm is the query-path telemetry block (nil when uninstrumented),
 	// mutated only under the owning Sharded's aggMu — except the watch
@@ -565,74 +545,8 @@ func (a *aggState[K]) freshSnapshot() snapCore {
 	return st
 }
 
-// appendCheckpoint captures the merged published state into the private
-// checkpoint scratch and encodes it — the full engine-snapshot codec, or
-// (when a committed base exists and the caller wants an increment) the
-// generation-delta codec against that base. The base is deliberately not
-// advanced here: the caller writes the bytes to disk first and commits
-// only on durable success, so a failed write leaves the delta chain
-// anchored at the last state that is actually recoverable.
-func (a *aggState[K]) appendCheckpoint(buf []byte, wantFull bool) ([]byte, bool, error) {
-	snaps, _ := a.pins.Pin(a.rings)
-	merged := a.ckptSM.Merge(&a.ckptMerged, snaps...)
-	a.pins.Unpin()
-	if !a.ckptHasBase {
-		wantFull = true
-	}
-	if wantFull {
-		out, err := merged.AppendBinary(buf)
-		if err != nil {
-			return buf, false, err
-		}
-		return out, true, nil
-	}
-	out, _, err := a.ckptCodec.AppendDelta(buf, merged, &a.ckptBase, a.ckptGens)
-	if err != nil {
-		return buf, false, err
-	}
-	return out, false, nil
-}
-
-// commitCheckpoint advances the delta base to the state appendCheckpoint
-// last encoded, after the caller made its bytes durable. The generations
-// are recorded from the merged source — CopyFrom stamps fresh ones on the
-// copy — so the next delta compares against the capture-time generations,
-// exactly the acked-report pattern of the vswitch DeltaReporter.
-func (a *aggState[K]) commitCheckpoint() {
-	a.ckptBase.CopyFrom(&a.ckptMerged)
-	a.ckptGens = a.ckptMerged.NodeGens(a.ckptGens)
-	a.ckptHasBase = true
-}
-
-// applyCheckpoint decodes a recovered full checkpoint, replays the journal
-// segments onto it in order, and loads the result into worker 0's engine
-// (restore runs before producers start; the worker's next Sync publishes
-// it). The restored state also primes the delta base, so the first
-// post-restore increment extends the recovered journal consistently.
-func (a *aggState[K]) applyCheckpoint(full []byte, segs [][]byte) error {
-	es, rest, err := core.DecodeEngineSnapshot[K](full)
-	if err != nil {
-		return fmt.Errorf("rhhh: checkpoint full: %w", err)
-	}
-	if len(rest) != 0 {
-		return errors.New("rhhh: checkpoint full has trailing bytes")
-	}
-	for i, seg := range segs {
-		rest, err := a.ckptCodec.ApplyDelta(es, seg)
-		if err != nil {
-			return fmt.Errorf("rhhh: checkpoint segment %d: %w", i+1, err)
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("rhhh: checkpoint segment %d has trailing bytes", i+1)
-		}
-	}
-	if err := a.im.eng.LoadSnapshot(es); err != nil {
-		return fmt.Errorf("rhhh: checkpoint restore: %w", err)
-	}
-	a.ckptBase.CopyFrom(es)
-	a.ckptGens = es.NodeGens(a.ckptGens)
-	a.ckptHasBase = true
-	return nil
+func (a *aggState[K]) checkpointer(st *resilience.Store, fullEvery int) checkpointer {
+	return core.NewCheckpointer(st, a.rings, fullEvery)
 }
 
 // watchHub builds the sharded watch hub: each tick pins the latest published

@@ -114,6 +114,10 @@ func TestSlidingWindowDifferential(t *testing.T) {
 	}
 	cases = append(cases,
 		tc{name: "1D-IPv6-k2", cfg: rhhh.Config{Dims: 1, IPv6: true, Epsilon: 0.05, Delta: 0.05, Seed: 7}, k: 2, theta: 0.1},
+		tc{name: "1D-IPv6-chk-k2", cfg: rhhh.Config{Dims: 1, IPv6: true, Epsilon: 0.05, Delta: 0.05, Backend: rhhh.CuckooHeavyKeeper, Seed: 10}, k: 2, theta: 0.1},
+		// The 2D IPv6 lattice has 289 nodes: ε = δ = 0.5 keeps ψ, and with it
+		// the stream, short enough for a per-batch reference read.
+		tc{name: "2D-IPv6-chk-k2", cfg: rhhh.Config{Dims: 2, IPv6: true, Epsilon: 0.5, Delta: 0.5, Backend: rhhh.CuckooHeavyKeeper, Seed: 11}, k: 2, theta: 0.25},
 		tc{name: "2D-weighted-k2", cfg: rhhh.Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 8}, k: 2, theta: 0.1, weighted: true},
 		tc{name: "2D-belowNstar-k4", cfg: rhhh.Config{Dims: 2, Epsilon: 0.05, Delta: 0.05, Seed: 9}, k: 4, theta: 0.02, belowN: true},
 	)
