@@ -492,21 +492,20 @@ func (ex *Extractor[K]) gSet(e int32) []int32 {
 	}
 	// Keep only maximal elements: h is dominated when some strictly closer
 	// generalization of h (still strictly below p) is already in P. Each
-	// intermediate lattice node is tested with one index probe, keeping this
+	// intermediate lattice node — a strict ancestor of h's node that p's
+	// node generalizes — is tested with one index probe, keeping this
 	// O(|desc|·H) instead of O(|desc|²).
 	pNode := int(ex.curNode)
 	for el := ex.eHead[e]; el >= 0; el = ex.elNext[el] {
 		idx := ex.elRes[el]
 		h := &ex.results[idx]
 		dominated := false
-		for w := 0; w < ex.h; w++ {
-			if w == pNode || w == h.Node {
+		for _, v := range ex.genUp[h.Node] {
+			w := int(v)
+			if w == pNode || !ex.dom.NodeGeneralizes(pNode, w) {
 				continue
 			}
-			if !ex.dom.NodeGeneralizes(pNode, w) || !ex.dom.NodeGeneralizes(w, h.Node) {
-				continue
-			}
-			if me := ex.find(int32(w), ex.mask(h.Key, w)); me >= 0 && ex.eFlags[me]&extFlagInP != 0 {
+			if me := ex.find(v, ex.mask(h.Key, w)); me >= 0 && ex.eFlags[me]&extFlagInP != 0 {
 				dominated = true
 				break
 			}

@@ -51,6 +51,9 @@ type Datapath struct {
 	hook  Hook
 	batch BatchHook // non-nil when hook also implements BatchHook
 	stats Stats
+	// hashes holds ProcessBatch's flow hashes, reused across bursts.
+	hashes   []uint32
+	warmSink uint32 // defeats dead-load elimination of the warm-up loads
 	// DefaultAction applies when no rule matches (OVS would punt to the
 	// controller; we drop by default).
 	DefaultAction Action
@@ -84,28 +87,34 @@ func (d *Datapath) Stats() Stats { return d.stats }
 func (d *Datapath) Process(p trace.Packet) Action {
 	d.stats.Received++
 	d.hook.OnPacket(p)
-	return d.forward(p)
+	return d.forward(&p, flowHash(p.Flow(), d.Cache.key))
 }
 
-// forward runs the pipeline stages after the measurement hook. The
-// five-tuple is hashed once, for the EMC lookup and for a miss's insert.
-func (d *Datapath) forward(p trace.Packet) Action {
-	ft := p.Flow()
-	h := flowHash(ft, d.Cache.key)
+// forward runs the pipeline stages after the measurement hook for a packet
+// whose five-tuple hashes to h: the hash serves the EMC lookup and a miss's
+// insert.
+func (d *Datapath) forward(p *trace.Packet, h uint32) Action {
+	// Build the five-tuple in place, field by field. p.Flow() is staged in
+	// a stack temporary and copied out in 16-byte moves; each spans two
+	// 8-byte stores still in the store buffer, which cannot be forwarded to
+	// it, so the copy stalls.
+	var ft trace.FiveTuple
+	ft.Src, ft.Dst = p.SrcIP, p.DstIP
+	ft.SrcPort, ft.DstPort, ft.Proto = p.SrcPort, p.DstPort, p.Proto
 	var a Action
-	if e := d.Cache.find(ft, h); e != nil {
+	if e := d.Cache.find(&ft, h); e != nil {
 		d.stats.EMCHits++
 		a = e.action
 	} else {
 		var ok bool
-		a, ok = d.Table.Lookup(p)
+		a, ok = d.Table.Lookup(*p)
 		if ok {
 			d.stats.TableHits++
 		} else {
 			d.stats.NoMatch++
 			a = d.DefaultAction
 		}
-		d.Cache.add(ft, h, a)
+		d.Cache.add(&ft, h, a)
 	}
 	if a.Drop {
 		d.stats.Dropped++
@@ -116,22 +125,36 @@ func (d *Datapath) forward(p trace.Packet) Action {
 }
 
 // ProcessBatch runs a batch through the pipeline (the DPDK-style unit of
-// work) and returns how many packets were forwarded. A hook implementing
-// BatchHook sees the whole batch in one call before forwarding.
+// work) and returns how many packets were forwarded. It first hashes every
+// packet's five-tuple and loads both of its EMC candidates, so the batch's
+// cache misses overlap one another and the hook's work instead of stalling
+// each packet's lookup. Then the hook sees the whole batch (one OnBatch
+// call for a BatchHook, else OnPacket per packet). Then each packet is
+// forwarded in order against the live cache, exactly as Process would.
 func (d *Datapath) ProcessBatch(batch []trace.Packet) int {
-	fwd := 0
+	c := d.Cache
+	if cap(d.hashes) < len(batch) {
+		d.hashes = make([]uint32, len(batch))
+	}
+	hs := d.hashes[:len(batch)]
+	var warm uint32
+	for i := range batch {
+		h := flowHash(batch[i].Flow(), c.key)
+		hs[i] = h
+		warm += c.entries[h&c.mask].hash + c.entries[h>>c.shift&c.mask].hash
+	}
+	d.warmSink += warm
 	if d.batch != nil {
 		d.batch.OnBatch(batch)
+	} else {
 		for _, p := range batch {
-			d.stats.Received++
-			if a := d.forward(p); !a.Drop {
-				fwd++
-			}
+			d.hook.OnPacket(p)
 		}
-		return fwd
 	}
-	for _, p := range batch {
-		if a := d.Process(p); !a.Drop {
+	fwd := 0
+	for i := range batch {
+		d.stats.Received++
+		if a := d.forward(&batch[i], hs[i]); !a.Drop {
 			fwd++
 		}
 	}

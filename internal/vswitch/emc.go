@@ -52,7 +52,7 @@ func NewEMC(capacity int, seed uint64) *EMC {
 
 // Lookup returns the cached action for the flow.
 func (c *EMC) Lookup(ft trace.FiveTuple) (Action, bool) {
-	if e := c.find(ft, flowHash(ft, c.key)); e != nil {
+	if e := c.find(&ft, flowHash(ft, c.key)); e != nil {
 		return e.action, true
 	}
 	return Action{}, false
@@ -62,31 +62,38 @@ func (c *EMC) Lookup(ft trace.FiveTuple) (Action, bool) {
 // are live.
 func (c *EMC) Insert(ft trace.FiveTuple, a Action) {
 	h := flowHash(ft, c.key)
-	if e := c.find(ft, h); e != nil {
+	if e := c.find(&ft, h); e != nil {
 		e.action = a
 		return
 	}
-	c.add(ft, h, a)
+	c.add(&ft, h, a)
 }
 
 // Len returns the number of cached flows.
 func (c *EMC) Len() int { return c.n }
 
-// find returns the entry caching ft (whose hash is h), or nil.
-func (c *EMC) find(ft trace.FiveTuple, h uint32) *emcEntry {
-	if e := &c.entries[h&c.mask]; e.hash == h && e.live && e.flow == ft {
+// find returns the entry caching *ft (whose hash is h), or nil.
+func (c *EMC) find(ft *trace.FiveTuple, h uint32) *emcEntry {
+	if e := &c.entries[h&c.mask]; e.hash == h && e.live && sameFlow(&e.flow, ft) {
 		return e
 	}
-	if e := &c.entries[h>>c.shift&c.mask]; e.hash == h && e.live && e.flow == ft {
+	if e := &c.entries[h>>c.shift&c.mask]; e.hash == h && e.live && sameFlow(&e.flow, ft) {
 		return e
 	}
 	return nil
 }
 
+// sameFlow compares two five-tuples field by field, inline; == on the
+// struct compiles to a call into its generated equality function.
+func sameFlow(a, b *trace.FiveTuple) bool {
+	return a.Src.Hi == b.Src.Hi && a.Src.Lo == b.Src.Lo && a.Dst.Hi == b.Dst.Hi && a.Dst.Lo == b.Dst.Lo &&
+		a.SrcPort == b.SrcPort && a.DstPort == b.DstPort && a.Proto == b.Proto
+}
+
 // add writes a flow that is not cached into a dead candidate entry, or
 // else into the candidate whose stored hash is smaller (the first on a
 // tie).
-func (c *EMC) add(ft trace.FiveTuple, h uint32, a Action) {
+func (c *EMC) add(ft *trace.FiveTuple, h uint32, a Action) {
 	e := &c.entries[h&c.mask]
 	if f := &c.entries[h>>c.shift&c.mask]; e.live && (!f.live || f.hash < e.hash) {
 		e = f
@@ -94,7 +101,9 @@ func (c *EMC) add(ft trace.FiveTuple, h uint32, a Action) {
 	if !e.live {
 		c.n++
 	}
-	*e = emcEntry{flow: ft, action: a, hash: h, live: true}
+	// Field by field, for the reason Datapath.forward builds its five-tuple
+	// that way: a composite literal is staged in a temporary and copied out.
+	e.flow, e.action, e.hash, e.live = *ft, a, h, true
 }
 
 // wyhash's multiplication constants.

@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rhhh/internal/core"
@@ -364,51 +365,111 @@ func chicagoPackets(n int) []trace.Packet {
 	return out
 }
 
-// TestDatapathMatchesMapReference replays 2^18 chicago16 packets through a
-// datapath and through the forwarding stage over the reference cache with
-// the same seed: every action, every batch's forwarded count and the final
-// counters must agree, at the OVS cache size and at a small one.
+// recorder is a per-packet Hook that records the packets it is shown.
+type recorder struct{ seen []trace.Packet }
+
+func (r *recorder) OnPacket(p trace.Packet) { r.seen = append(r.seen, p) }
+
+// batchRecorder is a BatchHook that records the packets it is shown, by
+// either method.
+type batchRecorder struct{ recorder }
+
+func (r *batchRecorder) OnBatch(ps []trace.Packet) { r.seen = append(r.seen, ps...) }
+
+// TestDatapathMatchesMapReference replays chicago16 packets through Process
+// and through the forwarding stage over the reference cache with the same
+// seed, comparing every action. It then replays them through ProcessBatch
+// in bursts of 1, 7, 32 and 256 packets (the last one short), hookless,
+// with a BatchHook and with a per-packet Hook. After every burst the
+// forwarded count, the counters, the cache's length and the packets the
+// hook was shown must match the reference, and at the end the cache's
+// entries must equal Process's. At 1 and 2 entries a packet often looks up
+// an entry that an earlier packet of its burst has just written, so a burst
+// path that read the cache ahead of forwarding would diverge there.
 func TestDatapathMatchesMapReference(t *testing.T) {
-	pkts := chicagoPackets(1 << 18)
-	for _, capacity := range []int{8192, 64} {
+	pkts := chicagoPackets(1<<18 - 3) // bursts of 7, 32 and 256 end short
+	for _, capacity := range []int{1, 2, 64, 8192} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			const seed = 7
 			table := diffTable()
 			dp := NewDatapath(table, NewEMC(capacity, seed), nil)
-			batched := NewDatapath(table, NewEMC(capacity, seed), nil)
 			ref := newRefEMC(capacity, seed)
+			// After each packet: the reference's counters and cache length,
+			// and the packets forwarded so far. For each EMC hit: how many
+			// packets earlier its flow was inserted.
 			var st Stats
-			for off := 0; off < len(pkts); off += 256 {
-				batch := pkts[off : off+256]
-				fwd := 0
-				for i, p := range batch {
-					want := refForward(table, ref, dp.DefaultAction, &st, p)
-					if got := dp.Process(p); got != want {
-						t.Fatalf("packet %d: action %+v, reference %+v", off+i, got, want)
-					}
-					if !want.Drop {
-						fwd++
-					}
+			stats := make([]Stats, len(pkts))
+			lens := make([]int, len(pkts))
+			fwd := make([]int, len(pkts)+1)
+			hitAge := make([]int, len(pkts))
+			insertedAt := make(map[trace.FiveTuple]int)
+			for i, p := range pkts {
+				hits := st.EMCHits
+				want := refForward(table, ref, dp.DefaultAction, &st, p)
+				if got := dp.Process(p); got != want {
+					t.Fatalf("packet %d: action %+v, reference %+v", i, got, want)
 				}
-				if got := batched.ProcessBatch(batch); got != fwd {
-					t.Fatalf("batch at %d: forwarded %d, reference %d", off, got, fwd)
+				if st.EMCHits != hits {
+					hitAge[i] = i - insertedAt[p.Flow()]
+				} else {
+					insertedAt[p.Flow()] = i
+				}
+				stats[i], lens[i], fwd[i+1] = st, ref.Len(), fwd[i]
+				if !want.Drop {
+					fwd[i+1]++
 				}
 			}
-			if dp.Stats() != st || batched.Stats() != st {
-				t.Fatalf("stats %+v (batched %+v), reference %+v", dp.Stats(), batched.Stats(), st)
+			if dp.Stats() != st || dp.Cache.Len() != ref.Len() {
+				t.Fatalf("stats %+v and Len %d, reference %+v and %d", dp.Stats(), dp.Cache.Len(), st, ref.Len())
 			}
-			if dp.Cache.Len() != ref.Len() {
-				t.Fatalf("cache Len = %d, reference %d", dp.Cache.Len(), ref.Len())
+			for _, burst := range []int{1, 7, 32, 256} {
+				inBurst := 0 // hits on a flow inserted earlier in the same burst
+				for i, age := range hitAge {
+					if age > 0 && i%burst >= age {
+						inBurst++
+					}
+				}
+				if capacity <= 2 && burst > 1 && inBurst == 0 {
+					t.Fatalf("burst %d: no packet hit a flow inserted earlier in its burst", burst)
+				}
+				rec, brec := &recorder{}, &batchRecorder{}
+				for _, c := range []struct {
+					name string
+					hook Hook
+					rec  *recorder
+				}{
+					{"hookless", nil, nil},
+					{"BatchHook", brec, &brec.recorder},
+					{"Hook", rec, rec},
+				} {
+					batched := NewDatapath(table, NewEMC(capacity, seed), c.hook)
+					for off := 0; off < len(pkts); off += burst {
+						end := min(off+burst, len(pkts))
+						if got := batched.ProcessBatch(pkts[off:end]); got != fwd[end]-fwd[off] {
+							t.Fatalf("burst %d %s at %d: forwarded %d, reference %d", burst, c.name, off, got, fwd[end]-fwd[off])
+						}
+						if got := batched.Stats(); got != stats[end-1] {
+							t.Fatalf("burst %d %s at %d: stats %+v, reference %+v", burst, c.name, off, got, stats[end-1])
+						}
+						if got := batched.Cache.Len(); got != lens[end-1] {
+							t.Fatalf("burst %d %s at %d: cache Len = %d, reference %d", burst, c.name, off, got, lens[end-1])
+						}
+						if c.rec != nil {
+							if !slices.Equal(c.rec.seen, pkts[off:end]) {
+								t.Fatalf("burst %d %s at %d: hook shown %d packets, not the burst's %d in order",
+									burst, c.name, off, len(c.rec.seen), end-off)
+							}
+							c.rec.seen = c.rec.seen[:0]
+						}
+					}
+					if !slices.Equal(batched.Cache.entries, dp.Cache.entries) {
+						t.Fatalf("burst %d %s: final cache entries differ from Process's", burst, c.name)
+					}
+				}
 			}
 		})
 	}
 }
-
-// batchCounter is a BatchHook that counts the packets it is shown.
-type batchCounter struct{ n int }
-
-func (c *batchCounter) OnPacket(trace.Packet)     { c.n++ }
-func (c *batchCounter) OnBatch(ps []trace.Packet) { c.n += len(ps) }
 
 // TestDatapathForwardsAsUncachedTable pins forwarding to a pass with no
 // cache, whatever the cache holds: for 2^18 chicago16 packets every action,
@@ -425,7 +486,7 @@ func TestDatapathForwardsAsUncachedTable(t *testing.T) {
 	for _, capacity := range []int{8192, 64, 1} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			const seed = 11
-			hook := &batchCounter{}
+			hook := &batchRecorder{}
 			dps := []*Datapath{
 				NewDatapath(&table, NewEMC(capacity, seed), nil),
 				NewDatapath(&table, NewEMC(capacity, seed), nil),
@@ -470,8 +531,8 @@ func TestDatapathForwardsAsUncachedTable(t *testing.T) {
 					t.Fatalf("datapath %d: stats %+v: the cache served nothing or hits do not add up", i, st)
 				}
 			}
-			if hook.n != len(pkts) {
-				t.Fatalf("batch hook saw %d of %d packets", hook.n, len(pkts))
+			if !slices.Equal(hook.seen, pkts) {
+				t.Fatalf("batch hook saw %d packets, not the %d in order", len(hook.seen), len(pkts))
 			}
 		})
 	}
@@ -524,7 +585,7 @@ func BenchmarkEMC(b *testing.B) {
 		}
 		r.Seed(1)
 		for range 4096 {
-			if ft := randFlow(r); c.find(ft, flowHash(ft, c.key)) != nil {
+			if ft := randFlow(r); c.find(&ft, flowHash(ft, c.key)) != nil {
 				hits = append(hits, ft)
 			}
 		}
@@ -563,13 +624,46 @@ func BenchmarkEMC(b *testing.B) {
 		ops, hits := 0, 0
 		for b.Loop() {
 			ft := flows[ops&(len(flows)-1)]
-			if h := flowHash(ft, c.key); c.find(ft, h) != nil {
+			if h := flowHash(ft, c.key); c.find(&ft, h) != nil {
 				hits++
 			} else {
-				c.add(ft, h, Action{OutPort: 1})
+				c.add(&ft, h, Action{OutPort: 1})
 			}
 			ops++
 		}
 		b.ReportMetric(float64(hits)/float64(ops), "hits/op")
 	})
+}
+
+// BenchmarkProcessBatch times the datapath per packet as perfbench's sync
+// switches run it: the three-rule table at 8192 entries and a 2^18-packet
+// chicago16 ring fed in 256-packet bursts after one warm pass, with no hook
+// (bare) and with an EngineHook over a CHK engine (chk: 2D bytes,
+// ε = δ = 0.001, V = 10·H).
+func BenchmarkProcessBatch(b *testing.B) {
+	const ringSize, burst = 1 << 18, 256
+	pkts := chicagoPackets(ringSize)
+	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
+	for _, c := range []struct {
+		name string
+		hook Hook
+	}{
+		{"bare", nil},
+		{"chk", NewEngineHook(core.New(dom, core.Config{
+			Epsilon: 0.001, Delta: 0.001, V: 10 * dom.Size(), Seed: 1, Backend: core.CHKBackend,
+		}))},
+	} {
+		dp := NewDatapath(diffTable(), NewEMC(8192, 1), c.hook)
+		for off := 0; off < ringSize; off += burst {
+			dp.ProcessBatch(pkts[off : off+burst])
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			off := 0
+			for i := 0; i < b.N; i += burst {
+				dp.ProcessBatch(pkts[off : off+burst])
+				off = (off + burst) % ringSize
+			}
+		})
+	}
 }
