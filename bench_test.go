@@ -383,9 +383,6 @@ func BenchmarkAblationBackends(b *testing.B) {
 	b.Run("SpaceSaving", func(b *testing.B) {
 		benchUpdates(b, keys, core.New(dom, core.Config{Epsilon: 0.001, Delta: 0.001, Seed: 1}).Update)
 	})
-	b.Run("Heap", func(b *testing.B) {
-		benchUpdates(b, keys, core.New(dom, core.Config{Epsilon: 0.001, Delta: 0.001, Seed: 1, Backend: core.HeapBackend}).Update)
-	})
 	b.Run("CHK", func(b *testing.B) {
 		benchUpdates(b, keys, core.New(dom, core.Config{Epsilon: 0.001, Delta: 0.001, Seed: 1, Backend: core.CHKBackend}).Update)
 	})

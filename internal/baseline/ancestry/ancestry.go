@@ -242,10 +242,6 @@ type trieInstance[K comparable] struct {
 	slack uint64
 }
 
-func (t trieInstance[K]) Increment(K)           { panic("ancestry: read-only view") }
-func (t trieInstance[K]) IncrementBy(K, uint64) { panic("ancestry: read-only view") }
-func (t trieInstance[K]) Updates() uint64       { return 0 }
-func (t trieInstance[K]) Reset()                { panic("ancestry: read-only view") }
 func (t trieInstance[K]) Bounds(k K) (uint64, uint64) {
 	if g, ok := t.acc[k]; ok {
 		return g + t.slack, g

@@ -18,13 +18,15 @@ import (
 	"rhhh/internal/core"
 	"rhhh/internal/fastrand"
 	"rhhh/internal/hierarchy"
+	"rhhh/internal/spacesaving"
 	"rhhh/internal/stats"
 )
 
 // Algorithm is a deterministic MST instance. Not safe for concurrent use.
 type Algorithm[K comparable] struct {
 	dom    *hierarchy.Domain[K]
-	inst   []core.Instance[K]
+	sums   []*spacesaving.Summary[K]
+	inst   []core.Instance[K] // read view of sums for Extract
 	weight uint64
 }
 
@@ -34,20 +36,17 @@ func New[K comparable](dom *hierarchy.Domain[K], epsilon float64) *Algorithm[K] 
 	if !(epsilon > 0 && epsilon < 1) {
 		panic("mst: epsilon must be in (0, 1)")
 	}
-	counters := int(math.Ceil(1 / epsilon))
-	return &Algorithm[K]{
-		dom:  dom,
-		inst: core.SpaceSavingInstances(dom, counters),
-	}
+	return newWithCounters(dom, int(math.Ceil(1/epsilon)))
 }
 
-// NewWithInstances builds an MST instance over caller-provided per-node
-// instances (used by tests and the weighted/heap variants).
-func NewWithInstances[K comparable](dom *hierarchy.Domain[K], inst []core.Instance[K]) *Algorithm[K] {
-	if len(inst) != dom.Size() {
-		panic("mst: need one instance per lattice node")
+// newWithCounters builds an MST instance with the given number of Space
+// Saving counters per lattice node.
+func newWithCounters[K comparable](dom *hierarchy.Domain[K], counters int) *Algorithm[K] {
+	sums := make([]*spacesaving.Summary[K], dom.Size())
+	for i := range sums {
+		sums[i] = spacesaving.New[K](counters)
 	}
-	return &Algorithm[K]{dom: dom, inst: inst}
+	return &Algorithm[K]{dom: dom, sums: sums, inst: core.WrapSummaries(sums)}
 }
 
 // Domain returns the lattice domain.
@@ -59,18 +58,17 @@ func (a *Algorithm[K]) N() uint64 { return a.weight }
 // Update feeds one packet to every lattice node: O(H).
 func (a *Algorithm[K]) Update(k K) {
 	a.weight++
-	for node := range a.inst {
-		a.inst[node].Increment(a.dom.Mask(k, node))
+	for node, s := range a.sums {
+		s.Increment(a.dom.Mask(k, node))
 	}
 }
 
-// UpdateWeighted feeds one packet of weight w to every lattice node. With
-// the default stream-summary backend this is the O(H·log(1/ε))-flavoured
-// weighted path the paper attributes to [35].
+// UpdateWeighted feeds one packet of weight w to every lattice node: the
+// O(H·log(1/ε))-flavoured weighted path the paper attributes to [35].
 func (a *Algorithm[K]) UpdateWeighted(k K, w uint64) {
 	a.weight += w
-	for node := range a.inst {
-		a.inst[node].IncrementBy(a.dom.Mask(k, node), w)
+	for node, s := range a.sums {
+		s.IncrementBy(a.dom.Mask(k, node), w)
 	}
 }
 
@@ -85,8 +83,8 @@ func (a *Algorithm[K]) Output(theta float64) []core.Result[K] {
 
 // Reset clears all state.
 func (a *Algorithm[K]) Reset() {
-	for _, in := range a.inst {
-		in.Reset()
+	for _, s := range a.sums {
+		s.Reset()
 	}
 	a.weight = 0
 }
@@ -114,9 +112,8 @@ func NewSampled[K comparable](dom *hierarchy.Domain[K], epsilon, delta float64, 
 	if v < h {
 		panic("mst: V must be at least H")
 	}
-	counters := int(math.Ceil((1 + epsilon) / epsilon))
 	return &SampledMST[K]{
-		inner: NewWithInstances(dom, core.SpaceSavingInstances(dom, counters)),
+		inner: newWithCounters(dom, int(math.Ceil((1+epsilon)/epsilon))),
 		rng:   fastrand.New(seed),
 		v:     uint64(v),
 		h:     uint64(h),

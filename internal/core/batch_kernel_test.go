@@ -139,50 +139,6 @@ func TestBatchKernelDifferentialMultiDraw(t *testing.T) {
 	}
 }
 
-// TestUpdateWeightedBatchHeapBackend: the interface-dispatch fallback (no
-// concrete Space Saving summaries) must stay order-identical too.
-func TestUpdateWeightedBatchHeapBackend(t *testing.T) {
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	cfg := core.Config{Epsilon: 0.05, Delta: 0.05, V: dom.Size(), Seed: 7, Backend: core.HeapBackend}
-	seq := core.New(dom, cfg)
-	bat := core.New(dom, cfg)
-	r := fastrand.New(8)
-	n := 50_000
-	keys := make([]uint32, n)
-	ws := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint32(r.Uint64n(1 << 12))
-		ws[i] = r.Uint64n(5)
-	}
-	for i, k := range keys {
-		seq.UpdateWeighted(k, ws[i])
-	}
-	for off := 0; off < n; off += 777 {
-		end := off + 777
-		if end > n {
-			end = n
-		}
-		bat.UpdateWeightedBatch(keys[off:end], ws[off:end])
-	}
-	if seq.Weight() != bat.Weight() || seq.N() != bat.N() {
-		t.Fatalf("N/Weight diverge: (%d,%d) vs (%d,%d)", seq.N(), seq.Weight(), bat.N(), bat.Weight())
-	}
-	for node := 0; node < dom.Size(); node++ {
-		if a, b := seq.NodeUpdates(node), bat.NodeUpdates(node); a != b {
-			t.Fatalf("node %d: %d vs %d updates", node, a, b)
-		}
-	}
-	a, b := seq.Output(0.05), bat.Output(0.05)
-	if len(a) != len(b) {
-		t.Fatalf("output lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("output %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestBatchSurfacesZeroAlloc pins the steady-state allocation contract of
 // the batch kernel: once scratch has grown, unit and weighted batches
 // allocate nothing on any path (skip sampling and per-draw alike).

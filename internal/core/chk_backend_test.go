@@ -8,7 +8,6 @@ import (
 	"rhhh/internal/exact"
 	"rhhh/internal/fastrand"
 	"rhhh/internal/hierarchy"
-	"rhhh/internal/sketch"
 )
 
 // chkCfg builds an engine config selecting the CHK backend.
@@ -19,16 +18,16 @@ func chkCfg(dom interface{ Size() int }, vMult int, seed uint64) core.Config {
 	}
 }
 
-// TestCHKBackendSelected: the CHK config devirtualizes into the concrete
-// sketch mirror and stays snapshottable.
+// TestCHKBackendSelected: the CHK config counts with CHK sketches and stays
+// snapshottable.
 func TestCHKBackendSelected(t *testing.T) {
 	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
 	eng := core.New(dom, chkCfg(dom, 1, 1))
 	if !eng.UsesCHKBackend() {
-		t.Fatal("CHKBackend config did not select the concrete CHK path")
+		t.Fatal("CHKBackend config did not select the CHK sketches")
 	}
 	if eng.UsesConcreteBackend() {
-		t.Fatal("CHK engine also claims the Space Saving concrete path")
+		t.Fatal("CHK engine also holds Space Saving summaries")
 	}
 	if es := eng.Snapshot(); len(es.Nodes) != dom.Size() {
 		t.Fatalf("CHK snapshot has %d nodes, want %d", len(es.Nodes), dom.Size())
@@ -64,7 +63,7 @@ func runCHKBatchDifferential[K comparable](t *testing.T, dom *hierarchy.Domain[K
 	seq := core.New(dom, cfg)
 	bat := core.New(dom, cfg)
 	if !bat.UsesCHKBackend() {
-		t.Fatal("differential needs the concrete CHK backend")
+		t.Fatal("differential needs the CHK backend")
 	}
 	r := fastrand.New(4321)
 	var seqSnap, batSnap core.EngineSnapshot[K]
@@ -248,79 +247,4 @@ func TestCHKEngineResetReseed(t *testing.T) {
 	eng.Reseed(seed)
 	feed()
 	mustEqualSnapshots(t, "reset+reseed", firstCopy, eng.SnapshotInto(&second))
-}
-
-// TestUpdateBatchInterfaceBackends: the Heap and Count-Min backends have no
-// concrete batch kernel — ApplyBatch degrades to per-sample interface
-// dispatch — but the batched entry points must still produce exactly the
-// state the sequential path does, for unit and weighted batches alike.
-func TestUpdateBatchInterfaceBackends(t *testing.T) {
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	cfg := core.Config{Epsilon: 0.05, Delta: 0.05, V: dom.Size(), Seed: 41}
-	build := map[string]func() *core.Engine[uint32]{
-		"heap": func() *core.Engine[uint32] {
-			c := cfg
-			c.Backend = core.HeapBackend
-			return core.New(dom, c)
-		},
-		"countmin": func() *core.Engine[uint32] {
-			return core.NewWithInstances(dom, cfg,
-				core.CountMinInstances(dom, 0.01, 0.01, func(k uint32) uint64 {
-					return sketch.Hash64(uint64(k))
-				}))
-		},
-	}
-	for name, mk := range build {
-		for _, weighted := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/weighted=%v", name, weighted), func(t *testing.T) {
-				seq, bat := mk(), mk()
-				if bat.UsesConcreteBackend() || bat.UsesCHKBackend() {
-					t.Fatalf("%s backend unexpectedly devirtualized", name)
-				}
-				r := fastrand.New(42)
-				n := 40_000
-				keys := make([]uint32, n)
-				ws := make([]uint64, n)
-				for i := range keys {
-					keys[i] = uint32(r.Uint64n(1 << 12))
-					ws[i] = r.Uint64n(5) // includes zero weights
-				}
-				if weighted {
-					for i, k := range keys {
-						seq.UpdateWeighted(k, ws[i])
-					}
-				} else {
-					for _, k := range keys {
-						seq.Update(k)
-					}
-				}
-				for off := 0; off < n; off += 777 {
-					end := min(off+777, n)
-					if weighted {
-						bat.UpdateWeightedBatch(keys[off:end], ws[off:end])
-					} else {
-						bat.UpdateBatch(keys[off:end])
-					}
-				}
-				if seq.N() != bat.N() || seq.Weight() != bat.Weight() {
-					t.Fatalf("N/Weight diverge: (%d,%d) vs (%d,%d)",
-						seq.N(), seq.Weight(), bat.N(), bat.Weight())
-				}
-				for node := 0; node < dom.Size(); node++ {
-					if a, b := seq.NodeUpdates(node), bat.NodeUpdates(node); a != b {
-						t.Fatalf("node %d: %d vs %d updates", node, a, b)
-					}
-				}
-				a, b := seq.Output(0.05), bat.Output(0.05)
-				if len(a) != len(b) {
-					t.Fatalf("output lengths differ: %d vs %d", len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("output %d differs: %+v vs %+v", i, a[i], b[i])
-					}
-				}
-			})
-		}
-	}
 }

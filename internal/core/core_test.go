@@ -8,7 +8,7 @@ import (
 	"rhhh/internal/exact"
 	"rhhh/internal/fastrand"
 	"rhhh/internal/hierarchy"
-	"rhhh/internal/sketch"
+	"rhhh/internal/spacesaving"
 )
 
 func ip4(a, b, c, d byte) uint32 {
@@ -30,6 +30,17 @@ func gen2D(r *fastrand.Source) uint64 {
 	default: // 30%: uniform tail
 		return hierarchy.Pack2D(uint32(r.Uint64()), uint32(r.Uint64()))
 	}
+}
+
+// mstSummaries builds one Space Saving summary per lattice node, for tests
+// that feed every node every packet as the deterministic MST baseline does,
+// and their Instance view for Extract.
+func mstSummaries[K comparable](dom *hierarchy.Domain[K], counters int) ([]*spacesaving.Summary[K], []core.Instance[K]) {
+	sums := make([]*spacesaving.Summary[K], dom.Size())
+	for i := range sums {
+		sums[i] = spacesaving.New[K](counters)
+	}
+	return sums, core.WrapSummaries(sums)
 }
 
 func refs[K comparable](rs []core.Result[K]) []exact.PrefixRef[K] {
@@ -132,14 +143,14 @@ func TestMSTDeterministicGuarantees(t *testing.T) {
 	// MST (scale 1, no correction) must satisfy accuracy and coverage
 	// deterministically — via the shared Extract machinery.
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-	inst := core.SpaceSavingInstances(dom, 200) // ε = 0.005
+	sums, inst := mstSummaries(dom, 200) // ε = 0.005
 	oracle := exact.New(dom)
 	r := fastrand.New(7)
 	const n = 50000
 	for i := 0; i < n; i++ {
 		k := gen2D(r)
 		for node := 0; node < dom.Size(); node++ {
-			inst[node].Increment(dom.Mask(k, node))
+			sums[node].Increment(dom.Mask(k, node))
 		}
 		oracle.Add(k)
 	}
@@ -166,7 +177,7 @@ func TestMSTDeterministicGuarantees(t *testing.T) {
 
 func TestOutputOneDim(t *testing.T) {
 	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	inst := core.SpaceSavingInstances(dom, 1000)
+	sums, inst := mstSummaries(dom, 1000)
 	// 40% of traffic under 7.7.7.* spread across hosts, rest uniform.
 	r := fastrand.New(8)
 	const n = 20000
@@ -178,7 +189,7 @@ func TestOutputOneDim(t *testing.T) {
 			k = uint32(r.Uint64())
 		}
 		for node := 0; node < dom.Size(); node++ {
-			inst[node].Increment(dom.Mask(k, node))
+			sums[node].Increment(dom.Mask(k, node))
 		}
 	}
 	out := core.Extract(dom, inst, float64(n), 1, 0, 0.2)
@@ -211,7 +222,7 @@ func TestCalcPredTwoDimInclusionExclusion(t *testing.T) {
 	// counted negative twice and suppressed; with it, the estimate of (*,*)
 	// must not go below zero traffic it actually adds.
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-	inst := core.SpaceSavingInstances(dom, 1000)
+	sums, inst := mstSummaries(dom, 1000)
 	r := fastrand.New(9)
 	const n = 30000
 	src := ip4(1, 1, 1, 1)
@@ -224,7 +235,7 @@ func TestCalcPredTwoDimInclusionExclusion(t *testing.T) {
 			k = hierarchy.Pack2D(uint32(r.Uint64()), uint32(r.Uint64()))
 		}
 		for node := 0; node < dom.Size(); node++ {
-			inst[node].Increment(dom.Mask(k, node))
+			sums[node].Increment(dom.Mask(k, node))
 		}
 	}
 	out := core.Extract(dom, inst, float64(n), 1, 0, 0.3)
@@ -346,7 +357,7 @@ func TestMultiUpdateSpeedsConvergence(t *testing.T) {
 
 func TestUpdateWeighted(t *testing.T) {
 	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	eng := core.New(dom, core.Config{Epsilon: 0.01, Delta: 0.01, Seed: 11, Backend: core.HeapBackend})
+	eng := core.New(dom, core.Config{Epsilon: 0.01, Delta: 0.01, Seed: 11})
 	r := fastrand.New(12)
 	var total uint64
 	k := ip4(1, 1, 1, 1)
@@ -365,37 +376,6 @@ func TestUpdateWeighted(t *testing.T) {
 	_, up := eng.EstimateFrequency(k, dom.FullNode())
 	if up < 0.35*float64(total) || up > 0.65*float64(total) {
 		t.Fatalf("weighted estimate %v for a 50%%-weight flow (total %d)", up, total)
-	}
-}
-
-func TestCountMinBackend(t *testing.T) {
-	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
-	inst := core.CountMinInstances(dom, 0.01, 0.01, func(k uint32) uint64 {
-		return sketch.Hash64(uint64(k))
-	})
-	cfg := core.Config{Epsilon: 0.01, Delta: 0.05, Seed: 13}
-	eng := core.NewWithInstances(dom, cfg, inst)
-	r := fastrand.New(14)
-	n := int(eng.Psi()) + 100000
-	for i := 0; i < n; i++ {
-		var k uint32
-		if r.Uint64n(10) < 3 {
-			k = ip4(6, 6, 6, byte(r.Uint64n(4)))
-		} else {
-			k = uint32(r.Uint64())
-		}
-		eng.Update(k)
-	}
-	out := eng.Output(0.15)
-	n24, _ := dom.NodeByBits(24, 0)
-	found := false
-	for _, p := range out {
-		if p.Node == n24 && p.Key == ip4(6, 6, 6, 0) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("Count-Min backend missed the 30% /24 aggregate")
 	}
 }
 
@@ -466,7 +446,7 @@ func BenchmarkRHHHUpdate2D(b *testing.B) {
 
 func BenchmarkMSTStyleUpdate2D(b *testing.B) {
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
-	inst := core.SpaceSavingInstances(dom, 1000)
+	sums, _ := mstSummaries(dom, 1000)
 	r := fastrand.New(2)
 	keys := make([]uint64, 8192)
 	for i := range keys {
@@ -476,7 +456,7 @@ func BenchmarkMSTStyleUpdate2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := keys[i&8191]
 		for node := 0; node < dom.Size(); node++ {
-			inst[node].Increment(dom.Mask(k, node))
+			sums[node].Increment(dom.Mask(k, node))
 		}
 	}
 }

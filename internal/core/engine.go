@@ -15,14 +15,11 @@ import (
 type Backend int
 
 // Available backends. SpaceSavingBackend is the paper's choice and the
-// default; HeapBackend trades O(1) for O(log c) but handles weighted streams
-// without bucket walks; CHKBackend stores counters directly in a cuckoo
-// table with exponential-decay eviction (probabilistic accuracy, no bucket
-// list — see internal/chk); CountMinBackend requires a key hash and exists
-// for the sketch ablation (use NewWithInstances + CountMinInstances).
+// default: the stream summary with O(1) worst-case updates. CHKBackend
+// stores counters directly in a cuckoo table with exponential-decay eviction
+// (probabilistic accuracy, no bucket list — see internal/chk).
 const (
 	SpaceSavingBackend Backend = iota
-	HeapBackend
 	CHKBackend
 )
 
@@ -59,15 +56,14 @@ type Config struct {
 // Engine is an RHHH instance over lattice domain K. Not safe for concurrent
 // use; shard by flow and merge results, or lock externally.
 type Engine[K comparable] struct {
-	dom  *hierarchy.Domain[K]
-	inst []Instance[K]
-	// ss mirrors inst with the concrete Space Saving summaries when every
-	// instance uses the stream-summary backend; the update path then calls
-	// Increment directly instead of through the Instance interface. chk is
-	// the same mirror for the Cuckoo Heavy Keeper backend. Heap and
-	// Count-Min backends keep interface dispatch (both mirrors nil).
+	dom *hierarchy.Domain[K]
+	// ss holds one Space Saving summary per lattice node under
+	// SpaceSavingBackend, chk one CHK sketch per node under CHKBackend; the
+	// other is nil. Every update goes to them directly. inst is their read
+	// view for Output and EstimateFrequency.
 	ss   []*spacesaving.Summary[K]
 	chk  []*chk.Sketch[K]
+	inst []Instance[K]
 	mask func(k K, node int) K // devirtualized dom.Masker()
 	rng  *fastrand.Source
 
@@ -129,25 +125,6 @@ type Engine[K comparable] struct {
 // configuration (this is a constructor-time programming error, not a runtime
 // condition).
 func New[K comparable](dom *hierarchy.Domain[K], cfg Config) *Engine[K] {
-	counters := CountersFor(cfg.Epsilon)
-	var inst []Instance[K]
-	switch cfg.Backend {
-	case SpaceSavingBackend:
-		inst = SpaceSavingInstances(dom, counters)
-	case HeapBackend:
-		inst = HeapInstances(dom, counters)
-	case CHKBackend:
-		inst = CHKInstances(dom, counters, cfg.Seed)
-	default:
-		panic(fmt.Sprintf("core: unknown backend %d", cfg.Backend))
-	}
-	return NewWithInstances(dom, cfg, inst)
-}
-
-// NewWithInstances builds an engine using caller-provided per-node
-// instances (len must equal dom.Size()); use this for the Count-Min backend
-// or custom HH algorithms.
-func NewWithInstances[K comparable](dom *hierarchy.Domain[K], cfg Config, inst []Instance[K]) *Engine[K] {
 	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
 		panic("core: Epsilon must be in (0, 1)")
 	}
@@ -169,13 +146,9 @@ func NewWithInstances[K comparable](dom *hierarchy.Domain[K], cfg Config, inst [
 	if r < 0 {
 		panic("core: R must be positive")
 	}
-	if len(inst) != dom.Size() {
-		panic("core: need one instance per lattice node")
-	}
 	deltaS := cfg.Delta / 3
 	e := &Engine[K]{
 		dom:     dom,
-		inst:    inst,
 		mask:    dom.Masker(),
 		rng:     fastrand.New(cfg.Seed),
 		v:       uint64(v),
@@ -187,41 +160,30 @@ func NewWithInstances[K comparable](dom *hierarchy.Domain[K], cfg Config, inst [
 		psi:     stats.Z(deltaS/2) * float64(v) / (cfg.Epsilon * cfg.Epsilon) / float64(r),
 		smpN:    -1,
 	}
-	// Devirtualize the backend when every node runs the stream-summary
-	// Space Saving instance (the default and the paper's configuration), or
-	// the Cuckoo Heavy Keeper sketch.
-	ss := make([]*spacesaving.Summary[K], len(inst))
-	for i, in := range inst {
-		a, ok := in.(ssInstance[K])
-		if !ok {
-			ss = nil
-			break
-		}
-		ss[i] = a.s
-	}
-	e.ss = ss
-	if ss == nil {
-		ck := make([]*chk.Sketch[K], len(inst))
-		for i, in := range inst {
-			a, ok := in.(chkInstance[K])
-			if !ok {
-				ck = nil
-				break
-			}
-			ck[i] = a.c
-		}
-		e.chk = ck
-	}
-	if ss != nil {
+	counters := CountersFor(cfg.Epsilon)
+	switch cfg.Backend {
+	case SpaceSavingBackend:
+		e.ss = make([]*spacesaving.Summary[K], h)
 		total := 0
-		for _, s := range ss {
-			total += s.Capacity()
+		for i := range e.ss {
+			e.ss[i] = spacesaving.New[K](counters)
+			total += e.ss[i].Capacity()
 		}
+		e.inst = WrapSummaries(e.ss)
 		// ~64 B of slab+index+bucket state per counter; below ~512 KiB the
 		// lattice fits alongside the working set in L2 on anything current,
 		// and the batch path applies samples directly instead of going
 		// through the two-phase kernel (identical results either way).
 		e.directApply = total < 8192
+	case CHKBackend:
+		e.chk = make([]*chk.Sketch[K], h)
+		e.inst = make([]Instance[K], h)
+		for i := range e.chk {
+			e.chk[i] = chk.New[K](counters, chkNodeSeed(cfg.Seed, i))
+			e.inst[i] = chkInstance[K]{e.chk[i]}
+		}
+	default:
+		panic(fmt.Sprintf("core: unknown backend %d", cfg.Backend))
 	}
 	if v > h && r == 1 {
 		e.useSkip = true
@@ -285,10 +247,8 @@ func (e *Engine[K]) Update(k K) {
 		node := int(e.rng.Uint64n(e.h))
 		if e.ss != nil {
 			e.ss[node].Increment(e.mask(k, node))
-		} else if e.chk != nil {
-			e.chk[node].Increment(e.mask(k, node))
 		} else {
-			e.inst[node].Increment(e.mask(k, node))
+			e.chk[node].Increment(e.mask(k, node))
 		}
 		e.nextSample = e.packets + 1 + e.geo.Next(e.rng)
 		return
@@ -299,10 +259,8 @@ func (e *Engine[K]) Update(k K) {
 			node := int(d)
 			if e.ss != nil {
 				e.ss[node].Increment(e.mask(k, node))
-			} else if e.chk != nil {
-				e.chk[node].Increment(e.mask(k, node))
 			} else {
-				e.inst[node].Increment(e.mask(k, node))
+				e.chk[node].Increment(e.mask(k, node))
 			}
 		}
 		return
@@ -313,10 +271,8 @@ func (e *Engine[K]) Update(k K) {
 			node := int(d)
 			if e.ss != nil {
 				e.ss[node].Increment(e.mask(k, node))
-			} else if e.chk != nil {
-				e.chk[node].Increment(e.mask(k, node))
 			} else {
-				e.inst[node].Increment(e.mask(k, node))
+				e.chk[node].Increment(e.mask(k, node))
 			}
 		}
 	}
@@ -339,10 +295,8 @@ func (e *Engine[K]) UpdateWeighted(k K, w uint64) {
 		node := int(e.rng.Uint64n(e.h))
 		if e.ss != nil {
 			e.ss[node].IncrementBy(e.mask(k, node), w)
-		} else if e.chk != nil {
-			e.chk[node].IncrementBy(e.mask(k, node), w)
 		} else {
-			e.inst[node].IncrementBy(e.mask(k, node), w)
+			e.chk[node].IncrementBy(e.mask(k, node), w)
 		}
 		e.nextSample = e.packets + 1 + e.geo.Next(e.rng)
 		return
@@ -353,10 +307,8 @@ func (e *Engine[K]) UpdateWeighted(k K, w uint64) {
 			node := int(d)
 			if e.ss != nil {
 				e.ss[node].IncrementBy(e.mask(k, node), w)
-			} else if e.chk != nil {
-				e.chk[node].IncrementBy(e.mask(k, node), w)
 			} else {
-				e.inst[node].IncrementBy(e.mask(k, node), w)
+				e.chk[node].IncrementBy(e.mask(k, node), w)
 			}
 		}
 	}
@@ -489,31 +441,16 @@ func (e *Engine[K]) ApplyBatch(keys []K, ws []uint64) {
 	}
 	// After the scatter pass each node's group is contiguous in grpKey, in
 	// arrival order.
-	if e.ss == nil {
-		if e.chk != nil {
-			// CHK has no resolve/apply split to drive: its update is already
-			// two bucket probes with no list surgery, so the node-grouped
-			// order alone delivers the cache locality the kernel buys the
-			// stream summary.
-			for j := 0; j < n; j++ {
-				if weighted {
-					e.chk[e.grpNode[j]].IncrementBy(e.grpKey[j], e.grpW[j])
-				} else {
-					e.chk[e.grpNode[j]].Increment(e.grpKey[j])
-				}
-			}
-			return
-		}
-		// Interface fallback: Heap and Count-Min backends take the batched
-		// entry points too, degrading to per-sample dispatch with the same
-		// node grouping and identical state transitions as the sequential
-		// path (TestUpdateBatchInterfaceBackends pins this).
+	if e.chk != nil {
+		// CHK has no resolve/apply split to drive: its update is already
+		// two bucket probes with no list surgery, so the node-grouped order
+		// alone delivers the cache locality the kernel buys the stream
+		// summary.
 		for j := 0; j < n; j++ {
-			in := e.inst[e.grpNode[j]]
 			if weighted {
-				in.IncrementBy(e.grpKey[j], e.grpW[j])
+				e.chk[e.grpNode[j]].IncrementBy(e.grpKey[j], e.grpW[j])
 			} else {
-				in.Increment(e.grpKey[j])
+				e.chk[e.grpNode[j]].Increment(e.grpKey[j])
 			}
 		}
 		return
@@ -612,8 +549,11 @@ func (e *Engine[K]) Reseed(seed uint64) {
 // Reset clears all state, keeping the configuration. The RNG is not
 // reseeded; use a fresh engine for bit-identical reruns.
 func (e *Engine[K]) Reset() {
-	for _, in := range e.inst {
-		in.Reset()
+	for _, s := range e.ss {
+		s.Reset()
+	}
+	for _, c := range e.chk {
+		c.Reset()
 	}
 	if e.useSkip {
 		e.nextSample -= e.packets // keep the in-flight gap across the reset

@@ -7,11 +7,16 @@ package core
 // compare the two samplers' node-hit distributions.
 func (e *Engine[K]) ForcePerDrawSampling() { e.useSkip = false }
 
-// NodeUpdates returns the number of updates node's instance has absorbed.
-func (e *Engine[K]) NodeUpdates(node int) uint64 { return e.inst[node].Updates() }
+// NodeUpdates returns the weight node's counters have absorbed.
+func (e *Engine[K]) NodeUpdates(node int) uint64 {
+	if e.ss != nil {
+		return e.ss[node].N()
+	}
+	return e.chk[node].N()
+}
 
-// UsesConcreteBackend reports whether the update path calls the concrete
-// Space Saving summaries without interface dispatch.
+// UsesConcreteBackend reports whether the engine counts with Space Saving
+// summaries.
 func (e *Engine[K]) UsesConcreteBackend() bool { return e.ss != nil }
 
 // ForceKernelApply disables the small-state direct apply so tests can pin
@@ -22,8 +27,7 @@ func (e *Engine[K]) ForceKernelApply() { e.directApply = false }
 // UsesDirectApply reports whether batches bypass the two-phase kernel.
 func (e *Engine[K]) UsesDirectApply() bool { return e.directApply }
 
-// UsesCHKBackend reports whether the update path calls the concrete CHK
-// sketches without interface dispatch.
+// UsesCHKBackend reports whether the engine counts with CHK sketches.
 func (e *Engine[K]) UsesCHKBackend() bool { return e.chk != nil }
 
 // Current returns the slot of the ring's latest publication, for tests that

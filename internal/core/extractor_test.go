@@ -41,11 +41,7 @@ func snapshotInstances[K comparable](es *core.EngineSnapshot[K]) []core.Instance
 // kept count instead.)
 type snapNode[K comparable] struct{ sn *spacesaving.Snapshot[K] }
 
-func (a snapNode[K]) Increment(K)                 { panic("read-only") }
-func (a snapNode[K]) IncrementBy(K, uint64)       { panic("read-only") }
 func (a snapNode[K]) Bounds(k K) (uint64, uint64) { return a.sn.Bounds(k) }
-func (a snapNode[K]) Updates() uint64             { return a.sn.N }
-func (a snapNode[K]) Reset()                      { panic("read-only") }
 func (a snapNode[K]) Candidates(fn func(K, uint64, uint64)) {
 	for i, k := range a.sn.Keys {
 		fn(k, a.sn.Upper[i], a.sn.Lower[i])

@@ -5,8 +5,8 @@
 // correction, the r-independent-updates extension (Corollary 6.8), and the
 // convergence bound ψ = Z(1−δs/2)·V·εs⁻² (Theorem 6.17).
 //
-// The engine is generic over the lattice key type K and uses one heavy
-// hitters Instance per lattice node, exactly as the paper structures it
+// The engine is generic over the lattice key type K and keeps one heavy
+// hitters algorithm per lattice node, exactly as the paper structures it
 // ("we use a matrix of H independent HH algorithms"). The deterministic MST
 // baseline reuses this package's Extract output machinery with no sampling.
 package core
@@ -14,53 +14,29 @@ package core
 import (
 	"rhhh/internal/chk"
 	"rhhh/internal/fastrand"
-	"rhhh/internal/hierarchy"
-	"rhhh/internal/sketch"
 	"rhhh/internal/spacesaving"
 )
 
-// Instance is the per-lattice-node heavy hitters algorithm. Any algorithm
-// satisfying the paper's Definition 4 ((ε,δ)-Frequency Estimation) together
-// with candidate enumeration (Definition 5) fits; adapters for Space Saving
-// (stream-summary and heap) and Count-Min are provided.
+// Instance is the read view the Output procedure takes of one lattice
+// node's heavy hitters algorithm: bounds on any key's count (the paper's
+// Definition 4, (ε,δ)-Frequency Estimation) and the monitored candidates
+// (Definition 5). Updates go to the concrete structures; the engine's Space
+// Saving and CHK counters, the collector's summaries and the baselines'
+// per-node state are read through it.
 type Instance[K comparable] interface {
-	// Increment records one update of key k.
-	Increment(k K)
-	// IncrementBy records a weighted update.
-	IncrementBy(k K, w uint64)
 	// Bounds returns upper and lower bounds on the number of updates of k,
 	// in raw update units (the engine applies the V/r scaling).
 	Bounds(k K) (upper, lower uint64)
 	// Candidates visits every monitored key with its bounds.
 	Candidates(fn func(k K, upper, lower uint64))
-	// Updates returns the number of updates this instance has absorbed.
-	Updates() uint64
-	// Reset clears the instance.
-	Reset()
 }
 
 // ssInstance adapts spacesaving.Summary to Instance.
 type ssInstance[K comparable] struct{ s *spacesaving.Summary[K] }
 
-func (a ssInstance[K]) Increment(k K)               { a.s.Increment(k) }
-func (a ssInstance[K]) IncrementBy(k K, w uint64)   { a.s.IncrementBy(k, w) }
 func (a ssInstance[K]) Bounds(k K) (uint64, uint64) { return a.s.Bounds(k) }
-func (a ssInstance[K]) Updates() uint64             { return a.s.N() }
-func (a ssInstance[K]) Reset()                      { a.s.Reset() }
 func (a ssInstance[K]) Candidates(fn func(K, uint64, uint64)) {
 	a.s.ForEach(func(k K, count, err uint64) { fn(k, count, count-err) })
-}
-
-// heapInstance adapts spacesaving.Heap to Instance.
-type heapInstance[K comparable] struct{ h *spacesaving.Heap[K] }
-
-func (a heapInstance[K]) Increment(k K)               { a.h.Increment(k) }
-func (a heapInstance[K]) IncrementBy(k K, w uint64)   { a.h.IncrementBy(k, w) }
-func (a heapInstance[K]) Bounds(k K) (uint64, uint64) { return a.h.Bounds(k) }
-func (a heapInstance[K]) Updates() uint64             { return a.h.N() }
-func (a heapInstance[K]) Reset()                      { a.h.Reset() }
-func (a heapInstance[K]) Candidates(fn func(K, uint64, uint64)) {
-	a.h.ForEach(func(k K, count, err uint64) { fn(k, count, count-err) })
 }
 
 // chkInstance adapts chk.Sketch to Instance. CHK keeps point estimates, so
@@ -68,54 +44,18 @@ func (a heapInstance[K]) Candidates(fn func(K, uint64, uint64)) {
 // rather than Definition-4 guaranteed (see internal/chk).
 type chkInstance[K comparable] struct{ c *chk.Sketch[K] }
 
-func (a chkInstance[K]) Increment(k K)               { a.c.Increment(k) }
-func (a chkInstance[K]) IncrementBy(k K, w uint64)   { a.c.IncrementBy(k, w) }
 func (a chkInstance[K]) Bounds(k K) (uint64, uint64) { return a.c.Bounds(k) }
-func (a chkInstance[K]) Updates() uint64             { return a.c.N() }
-func (a chkInstance[K]) Reset()                      { a.c.Reset() }
 func (a chkInstance[K]) Candidates(fn func(K, uint64, uint64)) {
 	a.c.ForEach(func(k K, count uint64) { fn(k, count, count) })
 }
 
-// cmInstance adapts sketch.CountMin to Instance.
-type cmInstance[K comparable] struct{ c *sketch.CountMin[K] }
-
-func (a cmInstance[K]) Increment(k K)               { a.c.Increment(k) }
-func (a cmInstance[K]) IncrementBy(k K, w uint64)   { a.c.IncrementBy(k, w) }
-func (a cmInstance[K]) Bounds(k K) (uint64, uint64) { return a.c.Bounds(k) }
-func (a cmInstance[K]) Updates() uint64             { return a.c.N() }
-func (a cmInstance[K]) Reset()                      { a.c.Reset() }
-func (a cmInstance[K]) Candidates(fn func(K, uint64, uint64)) {
-	a.c.ForEach(func(k K, count, err uint64) { fn(k, count, count-err) })
-}
-
-// SpaceSavingInstances builds one stream-summary Space Saving instance per
-// lattice node, each with the given number of counters.
-func SpaceSavingInstances[K comparable](dom *hierarchy.Domain[K], counters int) []Instance[K] {
-	sums := make([]*spacesaving.Summary[K], dom.Size())
-	for i := range sums {
-		sums[i] = spacesaving.New[K](counters)
-	}
-	return WrapSummaries(sums)
-}
-
-// WrapSummaries adapts caller-owned Space Saving summaries to Instances —
-// for components (like the distributed collector) that need both the
-// Instance view and direct snapshot access to the same state.
+// WrapSummaries adapts Space Saving summaries to Instances — for the
+// components (the engine, the distributed collector, the MST baseline) that
+// update the summaries directly and query them through Extract.
 func WrapSummaries[K comparable](sums []*spacesaving.Summary[K]) []Instance[K] {
 	out := make([]Instance[K], len(sums))
 	for i, s := range sums {
 		out[i] = ssInstance[K]{s}
-	}
-	return out
-}
-
-// HeapInstances builds one heap-backed Space Saving instance per lattice
-// node (O(log c) updates, efficient weighted increments).
-func HeapInstances[K comparable](dom *hierarchy.Domain[K], counters int) []Instance[K] {
-	out := make([]Instance[K], dom.Size())
-	for i := range out {
-		out[i] = heapInstance[K]{spacesaving.NewHeap[K](counters)}
 	}
 	return out
 }
@@ -130,26 +70,4 @@ func chkNodeSeed(seed uint64, i int) uint64 {
 		s = src.Uint64()
 	}
 	return s
-}
-
-// CHKInstances builds one Cuckoo Heavy Keeper sketch per lattice node, each
-// with at least the given number of counters (rounded up to the table
-// geometry) and a decay RNG derived from seed.
-func CHKInstances[K comparable](dom *hierarchy.Domain[K], counters int, seed uint64) []Instance[K] {
-	out := make([]Instance[K], dom.Size())
-	for i := range out {
-		out[i] = chkInstance[K]{chk.New[K](counters, chkNodeSeed(seed, i))}
-	}
-	return out
-}
-
-// CountMinInstances builds one Count-Min + heavy-hitter-list instance per
-// lattice node, sized for an (ε, δ) frequency-estimation guarantee. hash
-// fingerprints keys (see sketch.Hash64 for integer keys).
-func CountMinInstances[K comparable](dom *hierarchy.Domain[K], epsilon, delta float64, hash func(K) uint64) []Instance[K] {
-	out := make([]Instance[K], dom.Size())
-	for i := range out {
-		out[i] = cmInstance[K]{sketch.NewForEpsilon[K](epsilon, delta, hash)}
-	}
-	return out
 }

@@ -17,10 +17,6 @@ type fakeInst struct {
 	queryOnly map[uint64][2]uint64
 }
 
-func (f *fakeInst) Increment(uint64)           {}
-func (f *fakeInst) IncrementBy(uint64, uint64) {}
-func (f *fakeInst) Updates() uint64            { return 0 }
-func (f *fakeInst) Reset()                     { f.items = nil }
 func (f *fakeInst) Bounds(k uint64) (uint64, uint64) {
 	if b, ok := f.items[k]; ok {
 		return b[0], b[1]

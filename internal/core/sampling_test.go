@@ -151,16 +151,12 @@ func TestSkipSamplingWeighted(t *testing.T) {
 	}
 }
 
-// TestBackendSpecialization: the default configuration must run devirtualized
-// (concrete Space Saving), the Heap backend must not.
+// TestBackendSpecialization: the default configuration counts with the
+// Space Saving summaries (TestCHKBackendSelected covers CHKBackend).
 func TestBackendSpecialization(t *testing.T) {
 	dom := hierarchy.NewIPv4OneDim(hierarchy.Bytes)
 	ssEng := core.New(dom, core.Config{Epsilon: 0.01, Delta: 0.01, Seed: 1})
-	if !ssEng.UsesConcreteBackend() {
-		t.Error("Space Saving backend should bypass interface dispatch")
-	}
-	heapEng := core.New(dom, core.Config{Epsilon: 0.01, Delta: 0.01, Seed: 1, Backend: core.HeapBackend})
-	if heapEng.UsesConcreteBackend() {
-		t.Error("Heap backend must keep interface dispatch")
+	if !ssEng.UsesConcreteBackend() || ssEng.UsesCHKBackend() {
+		t.Error("default config did not select the Space Saving summaries")
 	}
 }

@@ -66,18 +66,13 @@ func (es *EngineSnapshot[K]) Invalidate() {
 }
 
 // SnapshotInto copies the engine's state into dst, reusing dst's buffers
-// (zero allocations once they have grown). A nil dst allocates. Only the
-// Space Saving (stream-summary) and CHK backends support snapshots; the
-// heap and Count-Min instances of the ablations panic. Returns dst.
+// (zero allocations once they have grown). A nil dst allocates. Returns dst.
 //
 // A repeat capture of an engine that has not absorbed any update (and has
 // not been Reset, Reseeded or restored) into the same dst skips the copy
 // and leaves dst's mutation generation unchanged, so downstream query
 // caches recognize the state as identical.
 func (e *Engine[K]) SnapshotInto(dst *EngineSnapshot[K]) *EngineSnapshot[K] {
-	if e.ss == nil && e.chk == nil {
-		panic("core: snapshots require the Space Saving or CHK backend")
-	}
 	if dst == nil {
 		dst = &EngineSnapshot[K]{}
 	}
@@ -186,17 +181,14 @@ func suggestTheta[K comparable](sn *spacesaving.Snapshot[K], n float64, v, r int
 }
 
 // LoadSnapshot replaces the engine's measurement state with the snapshot's —
-// the restore half of snapshot-driven persistence. The engine must use the
-// Space Saving backend with the same lattice size, V, R, ε and δ, and each
-// node must fit its counter capacity (always true for snapshots of an
-// equally configured engine). The update-path RNG is not part of a
-// snapshot: a restored engine continues on its own stream, so the paper's
-// guarantees carry over but bit-for-bit reproducibility across a restart is
-// not preserved.
+// the restore half of snapshot-driven persistence. Engines of either
+// backend restore. The snapshot must match the engine's lattice size, V, R,
+// ε and δ, and each node must fit the engine's counter capacity (always
+// true for a snapshot of an equally configured engine). The update-path RNG
+// is not part of a snapshot: a restored engine continues on its own stream,
+// so the paper's guarantees carry over but bit-for-bit reproducibility
+// across a restart is not preserved.
 func (e *Engine[K]) LoadSnapshot(es *EngineSnapshot[K]) error {
-	if e.ss == nil && e.chk == nil {
-		return errors.New("core: snapshots require the Space Saving or CHK backend")
-	}
 	if len(es.Nodes) != len(e.inst) {
 		return fmt.Errorf("core: snapshot has %d lattice nodes, engine has %d", len(es.Nodes), len(e.inst))
 	}

@@ -18,25 +18,18 @@ func (e *Engine[K]) TelemetryInto(st *telemetry.EngineStats) {
 	st.Samples.Store(e.samples)
 	st.Batches.Store(e.batches)
 	var occ, slots, stash, evict, decays, takeovers uint64
-	switch {
-	case e.ss != nil:
-		for _, s := range e.ss {
-			occ += uint64(s.Len())
-			slots += uint64(s.Capacity())
-			stash += uint64(s.StashLen())
-			evict += s.Evictions()
-		}
-	case e.chk != nil:
-		for _, c := range e.chk {
-			occ += uint64(c.Len())
-			slots += uint64(c.Capacity())
-			stash += uint64(c.StashLen())
-			decays += c.Decays()
-			takeovers += c.Takeovers()
-		}
-	default:
-		// Interface backends expose no occupancy; the update counters above
-		// still publish.
+	for _, s := range e.ss {
+		occ += uint64(s.Len())
+		slots += uint64(s.Capacity())
+		stash += uint64(s.StashLen())
+		evict += s.Evictions()
+	}
+	for _, c := range e.chk {
+		occ += uint64(c.Len())
+		slots += uint64(c.Capacity())
+		stash += uint64(c.StashLen())
+		decays += c.Decays()
+		takeovers += c.Takeovers()
 	}
 	st.Occupied.Store(occ)
 	st.Slots.Store(slots)

@@ -8,7 +8,6 @@ import (
 	"rhhh/internal/baseline/mst"
 	"rhhh/internal/core"
 	"rhhh/internal/hierarchy"
-	"rhhh/internal/sketch"
 	"rhhh/internal/trace"
 )
 
@@ -40,10 +39,9 @@ func AblationMultiUpdate(cfg SweepConfig) []Table {
 		func(p sweepPoint) float64 { return p.Accuracy })
 }
 
-// AblationBackends compares per-update cost of the four HH backends the
-// engine supports: stream-summary Space Saving (O(1)), CHK, heap Space
-// Saving (O(log c)) and conservative Count-Min (d hashes) — the paper
-// argues for Space Saving.
+// AblationBackends compares per-update cost of the two HH backends the
+// engine supports: stream-summary Space Saving (O(1), the paper's choice)
+// and CHK.
 func AblationBackends(cfg SpeedConfig) []Table {
 	cfg = cfg.withDefaults()
 	dom := hierarchy.NewIPv4TwoDim(hierarchy.Bytes)
@@ -55,20 +53,12 @@ func AblationBackends(cfg SpeedConfig) []Table {
 	}
 	t := Table{
 		Title:   "Ablation: RHHH backend update speed (2D bytes)",
-		Headers: []string{"epsilon", "SpaceSaving Mpps", "CHK Mpps", "Heap Mpps", "CountMin Mpps"},
+		Headers: []string{"epsilon", "SpaceSaving Mpps", "CHK Mpps"},
 	}
 	for _, eps := range cfg.Epsilons {
 		ss := core.New(dom, core.Config{Epsilon: eps, Delta: cfg.Delta, Seed: cfg.Seed})
 		ck := core.New(dom, core.Config{Epsilon: eps, Delta: cfg.Delta, Seed: cfg.Seed, Backend: core.CHKBackend})
-		hp := core.New(dom, core.Config{Epsilon: eps, Delta: cfg.Delta, Seed: cfg.Seed, Backend: core.HeapBackend})
-		cm := core.NewWithInstances(dom,
-			core.Config{Epsilon: eps, Delta: cfg.Delta, Seed: cfg.Seed},
-			core.CountMinInstances(dom, eps, cfg.Delta, sketch.Hash64))
-		t.Add(fmtF(eps),
-			timeUpdates(keys, ss.Update),
-			timeUpdates(keys, ck.Update),
-			timeUpdates(keys, hp.Update),
-			timeUpdates(keys, cm.Update))
+		t.Add(fmtF(eps), timeUpdates(keys, ss.Update), timeUpdates(keys, ck.Update))
 	}
 	return []Table{t}
 }

@@ -52,10 +52,7 @@ func AblationWeighted(cfg SweepConfig) []Table {
 	gen := trace.NewSynthetic(withAggregates(trace.Profile(cfg.Profiles[0])))
 	oracle := exact.New(dom)
 
-	eng := core.New(dom, core.Config{
-		Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-		Backend: core.HeapBackend, // efficient weighted increments
-	})
+	eng := core.New(dom, core.Config{Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed})
 	ms := mst.New(dom, cfg.Epsilon)
 
 	n := cfg.Checkpoints[len(cfg.Checkpoints)-1]

@@ -39,58 +39,6 @@ func Prebuild(src trace.Source, n int) []trace.Packet {
 	return out
 }
 
-// PrebuildBatches materializes n packets split into DPDK-style batches of
-// batchSize (OVS-DPDK uses 32).
-func PrebuildBatches(src trace.Source, n, batchSize int) [][]trace.Packet {
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	pkts := Prebuild(src, n)
-	var out [][]trace.Packet
-	for i := 0; i < len(pkts); i += batchSize {
-		j := i + batchSize
-		if j > len(pkts) {
-			j = len(pkts)
-		}
-		out = append(out, pkts[i:j])
-	}
-	return out
-}
-
-// Run drives sink with the prepared packets `rounds` times at maximum rate
-// and returns the measured throughput.
-func Run(packets []trace.Packet, rounds int, sink func(trace.Packet)) Result {
-	if rounds <= 0 {
-		rounds = 1
-	}
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, p := range packets {
-			sink(p)
-		}
-	}
-	return Result{
-		Packets: uint64(rounds) * uint64(len(packets)),
-		Elapsed: time.Since(start),
-	}
-}
-
-// RunBatched drives a batch-oriented sink (the datapath's natural unit).
-func RunBatched(batches [][]trace.Packet, rounds int, sink func([]trace.Packet)) Result {
-	if rounds <= 0 {
-		rounds = 1
-	}
-	var n uint64
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, b := range batches {
-			sink(b)
-			n += uint64(len(b))
-		}
-	}
-	return Result{Packets: n, Elapsed: time.Since(start)}
-}
-
 // RunFor drives the sink with the prepared packets repeatedly until at
 // least d has elapsed, checking the clock once per pass to keep timer
 // overhead out of the loop.

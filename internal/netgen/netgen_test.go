@@ -29,48 +29,6 @@ func TestPrebuildStopsAtSourceEnd(t *testing.T) {
 	}
 }
 
-func TestPrebuildBatches(t *testing.T) {
-	gen := trace.NewSynthetic(trace.Config{Seed: 2})
-	batches := PrebuildBatches(gen, 100, 32)
-	if len(batches) != 4 {
-		t.Fatalf("%d batches", len(batches))
-	}
-	total := 0
-	for i, b := range batches {
-		total += len(b)
-		if i < 3 && len(b) != 32 {
-			t.Fatalf("batch %d has %d packets", i, len(b))
-		}
-	}
-	if total != 100 {
-		t.Fatalf("total %d", total)
-	}
-}
-
-func TestRunCountsAndTimes(t *testing.T) {
-	pkts := make([]trace.Packet, 500)
-	seen := 0
-	res := Run(pkts, 3, func(trace.Packet) { seen++ })
-	if res.Packets != 1500 || seen != 1500 {
-		t.Fatalf("packets %d seen %d", res.Packets, seen)
-	}
-	if res.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	if res.Mpps() <= 0 {
-		t.Fatal("Mpps not positive")
-	}
-}
-
-func TestRunBatched(t *testing.T) {
-	batches := [][]trace.Packet{make([]trace.Packet, 3), make([]trace.Packet, 2)}
-	var calls, pkts int
-	res := RunBatched(batches, 2, func(b []trace.Packet) { calls++; pkts += len(b) })
-	if calls != 4 || pkts != 10 || res.Packets != 10 {
-		t.Fatalf("calls=%d pkts=%d res=%d", calls, pkts, res.Packets)
-	}
-}
-
 func TestRunFor(t *testing.T) {
 	pkts := make([]trace.Packet, 1000)
 	res := RunFor(pkts, 30*time.Millisecond, func(trace.Packet) {})

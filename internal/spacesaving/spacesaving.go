@@ -4,10 +4,9 @@
 // to have an empirical edge over other algorithms").
 //
 // Summary is the Stream-Summary variant with O(1) worst-case updates — the
-// property Theorem 6.18 relies on for RHHH's O(1) update complexity. Heap is
-// a min-heap variant with O(log n) updates that also supports weighted
-// increments efficiently; it exists for the weighted-input extension and as
-// an ablation baseline.
+// property Theorem 6.18 relies on for RHHH's O(1) update complexity. It
+// also takes weighted increments (IncrementBy and ApplyWeightedPlanned), for
+// the weighted-input extension.
 //
 // Summary stores all counters in one flat slab indexed by an open-addressed
 // hash table, and the Stream-Summary bucket list links counters and buckets
@@ -506,8 +505,7 @@ func (s *Summary[K]) ApplyWeightedPlanned(keys []K, ws []uint64, slots []int32, 
 
 // IncrementBy adds weight w of key k. For monitored keys the counter may
 // skip past several buckets; the walk is bounded by the number of distinct
-// counts, so this is O(min(capacity, w)) worst case — use Heap when weighted
-// updates dominate.
+// counts, so this is O(min(capacity, w)) worst case.
 func (s *Summary[K]) IncrementBy(k K, w uint64) {
 	if w == 0 {
 		return

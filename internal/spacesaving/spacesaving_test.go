@@ -2,31 +2,14 @@ package spacesaving
 
 import (
 	"testing"
-	"testing/quick"
 
 	"rhhh/internal/fastrand"
 )
 
-// Sketch is the interface both implementations satisfy; tests run against
-// both to keep them behaviourally aligned.
-type sketch interface {
-	Increment(k uint64)
-	IncrementBy(k uint64, w uint64)
-	Query(k uint64) (uint64, uint64, bool)
-	Bounds(k uint64) (uint64, uint64)
-	ForEach(fn func(k uint64, count, err uint64))
-	MinCount() uint64
-	N() uint64
-	Len() int
-	Capacity() int
-	Reset()
-}
-
-func implementations(capacity int) map[string]sketch {
-	return map[string]sketch{
-		"summary": New[uint64](capacity),
-		"heap":    NewHeap[uint64](capacity),
-	}
+// implementations names the structures the shared tests run against, one
+// subtest each.
+func implementations(capacity int) map[string]*Summary[uint64] {
+	return map[string]*Summary[uint64]{"summary": New[uint64](capacity)}
 }
 
 func TestBasicCounting(t *testing.T) {
@@ -188,7 +171,7 @@ func TestHeavyHittersMonitored(t *testing.T) {
 func TestWeightedEquivalentToRepeated(t *testing.T) {
 	for name := range implementations(8) {
 		t.Run(name, func(t *testing.T) {
-			mk := func() sketch { return implementations(8)[name] }
+			mk := func() *Summary[uint64] { return implementations(8)[name] }
 			a, b := mk(), mk()
 			r := fastrand.New(5)
 			for i := 0; i < 300; i++ {
@@ -305,7 +288,7 @@ func TestCapacityOne(t *testing.T) {
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	for _, f := range []func(){
 		func() { New[int](0) },
-		func() { NewHeap[int](-1) },
+		func() { New[int](-1) },
 	} {
 		func() {
 			defer func() {
@@ -335,48 +318,8 @@ func TestForEachDescendingSummary(t *testing.T) {
 	})
 }
 
-// TestSummaryHeapAgreeProperty: on random small streams, both structures
-// report identical counts for every key when the stream has at most
-// `capacity` distinct keys (no evictions → exact counting).
-func TestSummaryHeapAgreeProperty(t *testing.T) {
-	f := func(keys []uint8) bool {
-		sum := New[uint64](256)
-		hp := NewHeap[uint64](256)
-		exact := map[uint64]uint64{}
-		for _, k := range keys {
-			sum.Increment(uint64(k))
-			hp.Increment(uint64(k))
-			exact[uint64(k)]++
-		}
-		for k, f0 := range exact {
-			c1, e1, ok1 := sum.Query(k)
-			c2, e2, ok2 := hp.Query(k)
-			if !ok1 || !ok2 || c1 != f0 || c2 != f0 || e1 != 0 || e2 != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkSummaryIncrement(b *testing.B) {
 	s := New[uint64](1024)
-	r := fastrand.New(1)
-	keys := make([]uint64, 4096)
-	for i := range keys {
-		keys[i] = r.Uint64n(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Increment(keys[i&4095])
-	}
-}
-
-func BenchmarkHeapIncrement(b *testing.B) {
-	s := NewHeap[uint64](1024)
 	r := fastrand.New(1)
 	keys := make([]uint64, 4096)
 	for i := range keys {

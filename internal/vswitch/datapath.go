@@ -107,7 +107,7 @@ func (d *Datapath) forward(p *trace.Packet, h uint32) Action {
 		a = e.action
 	} else {
 		var ok bool
-		a, ok = d.Table.Lookup(*p)
+		a, ok = d.Table.Lookup(p)
 		if ok {
 			d.stats.TableHits++
 		} else {

@@ -246,7 +246,7 @@ type Collector struct {
 	mu     sync.Mutex
 	dom    *hierarchy.Domain[uint64]
 	sums   []*spacesaving.Summary[uint64]
-	inst   []core.Instance[uint64]
+	inst   []core.Instance[uint64] // read view of sums for Extract
 	v      int
 	eps    float64
 	delta  float64
@@ -319,8 +319,8 @@ func (c *Collector) applySamplesLocked(sender uint16, total uint64, batch []Samp
 		c.totals[sender] = total
 	}
 	for _, s := range batch {
-		if int(s.Node) < len(c.inst) {
-			c.inst[s.Node].Increment(s.Key)
+		if int(s.Node) < len(c.sums) {
+			c.sums[s.Node].Increment(s.Key)
 		}
 	}
 	c.localDirty = true
@@ -346,8 +346,8 @@ func (c *Collector) Updates() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n uint64
-	for _, in := range c.inst {
-		n += in.Updates()
+	for _, s := range c.sums {
+		n += s.N()
 	}
 	return n
 }

@@ -80,7 +80,7 @@ func refForward(t *FlowTable, c *refEMC, def Action, st *Stats, p trace.Packet) 
 	if ok {
 		st.EMCHits++
 	} else {
-		a, ok = t.Lookup(p)
+		a, ok = t.Lookup(&p)
 		if ok {
 			st.TableHits++
 		} else {
@@ -497,7 +497,7 @@ func TestDatapathForwardsAsUncachedTable(t *testing.T) {
 				batch := pkts[off : off+256]
 				n := 0
 				for i, p := range batch {
-					want, ok := table.Lookup(p)
+					want, ok := table.Lookup(&p)
 					if !ok {
 						want = dps[0].DefaultAction
 						defaults++

@@ -44,7 +44,7 @@ type Match struct {
 }
 
 // Covers reports whether the pattern matches the packet.
-func (m Match) Covers(p trace.Packet) bool {
+func (m *Match) Covers(p *trace.Packet) bool {
 	if m.SrcBits > 0 && p.SrcIP.Mask(m.SrcBits) != m.SrcPrefix.Mask(m.SrcBits) {
 		return false
 	}
@@ -88,9 +88,9 @@ func (t *FlowTable) Add(r Rule) {
 func (t *FlowTable) Len() int { return len(t.rules) }
 
 // Lookup returns the highest-priority matching rule's action.
-func (t *FlowTable) Lookup(p trace.Packet) (Action, bool) {
-	for _, r := range t.rules {
-		if r.Match.Covers(p) {
+func (t *FlowTable) Lookup(p *trace.Packet) (Action, bool) {
+	for i := range t.rules {
+		if r := &t.rules[i]; r.Match.Covers(p) {
 			return r.Action, true
 		}
 	}
